@@ -22,6 +22,7 @@ converge), 2 usage or parameter errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -36,11 +37,7 @@ from .families import (
     SCRIPT_P,
     FamilySpec,
     PoleError,
-    bold_l,
-    bold_p,
     make_member,
-    script_l,
-    script_p,
 )
 from .recurrence import (
     DomainError,
@@ -50,12 +47,8 @@ from .recurrence import (
 )
 from .sobolev import (
     ConvergenceError,
-    a_n_normalized,
+    WeightSpec,
     gauss_rule,
-    jacobi_weight,
-    laguerre_weight,
-    sobolev_form_for,
-    sobolev_inner_exact,
     verify_orthogonality,
 )
 
@@ -100,69 +93,65 @@ def _rational_range(text: str) -> list[Fraction]:
     return [lo + i * step for i in range(count)]
 
 
+# Family kind -> (required head flags, optional slot-list flag).
+_FAMILY_FLAGS = {
+    SCRIPT_L: (("q", "r"), None),
+    SCRIPT_P: (("a", "b", "c"), None),
+    BOLD_L: (("q",), "rs"),
+    BOLD_P: (("a", "b"), "cs"),
+}
+_ALL_FAMILIES = tuple(_FAMILY_FLAGS)
+_SCRIPT_FAMILIES = (SCRIPT_L, SCRIPT_P)
+_HEAD_FLAGS = ("q", "r", "a", "b", "c")
+
+
+def _flags(names) -> str:
+    """``--a, --b and --c`` for the names a, b, c."""
+    flags = [f"--{name}" for name in names]
+    return flags[0] if len(flags) == 1 else ", ".join(flags[:-1]) + " and " + flags[-1]
+
+
 def _family_from_args(args, allowed) -> FamilySpec:
     kind = args.family
     if kind not in allowed:
         raise ValueError(f"family must be one of {', '.join(allowed)} here, got {kind}")
-    if kind == SCRIPT_L:
-        if args.q is None or args.r is None:
-            raise ValueError("scriptL needs --q and --r")
-        return script_l(args.q, args.r)
-    if kind == SCRIPT_P:
-        if args.a is None or args.b is None or args.c is None:
-            raise ValueError("scriptP needs --a, --b and --c")
-        return script_p(args.a, args.b, args.c)
-    if kind == BOLD_L:
-        if args.q is None:
-            raise ValueError("boldL needs --q (and optionally --rs)")
-        return bold_l(args.q, args.rs or [])
-    if kind == BOLD_P:
-        if args.a is None or args.b is None:
-            raise ValueError("boldP needs --a and --b (and optionally --cs)")
-        return bold_p(args.a, args.b, args.cs or [])
-    raise ValueError(f"unknown family {kind!r}")
+    heads, slot = _FAMILY_FLAGS[kind]
+    values = [getattr(args, name) for name in heads]
+    if any(v is None for v in values):
+        optional = f" (and optionally --{slot})" if slot else ""
+        raise ValueError(f"{kind} needs {_flags(heads)}{optional}")
+    slots = (getattr(args, slot) or []) if slot else []
+    return FamilySpec(kind, (*values, *slots))
 
 
 def _spec_params(spec: FamilySpec) -> dict:
-    if spec.kind == SCRIPT_L:
-        return {"q": str(spec.params[0]), "r": str(spec.params[1])}
-    if spec.kind == SCRIPT_P:
-        return {"a": str(spec.params[0]), "b": str(spec.params[1]), "c": str(spec.params[2])}
-    if spec.kind == BOLD_L:
-        return {"q": str(spec.params[0]), "rs": [str(p) for p in spec.params[1:]]}
-    return {
-        "a": str(spec.params[0]),
-        "b": str(spec.params[1]),
-        "cs": [str(p) for p in spec.params[2:]],
-    }
+    """The family and its parameters as the JSON ``params`` record shows them."""
+    heads, slot = _FAMILY_FLAGS[spec.kind]
+    params = {"family": spec.kind, **{name: str(v) for name, v in zip(heads, spec.params)}}
+    if slot:
+        params[slot] = [str(p) for p in spec.params[len(heads):]]
+    return params
 
 
 def _document(command: str, params: dict, results: dict, passed: bool) -> dict:
     return {"command": command, "params": params, "results": results, "pass": passed}
 
 
-def _residual_rows(residual_at, nmax: int):
-    rows = []
-    ok_all = True
-    for n in range(nmax + 1):
-        res = residual_at(n)
-        peak = max((abs(cc) for cc in res.coeffs), default=Fraction(0))
-        ok = res.is_zero
-        ok_all = ok_all and ok
-        rows.append([n, str(peak), ok])
-    return rows, ok_all
-
-
 # --- handlers --------------------------------------------------------------
 
 
-def _cmd_coeffs(args):
-    spec = _family_from_args(args, (SCRIPT_L, SCRIPT_P, BOLD_L, BOLD_P))
+def _member_from_args(args, command: str):
+    """The family spec and its member of degree ``--n``, for single-member commands."""
+    spec = _family_from_args(args, _ALL_FAMILIES)
     if args.n is None:
-        raise ValueError("coeffs needs --n")
-    member = make_member(spec, args.n)
+        raise ValueError(f"{command} needs --n")
+    return spec, make_member(spec, args.n)
+
+
+def _cmd_coeffs(args):
+    spec, member = _member_from_args(args, "coeffs")
     coefficients = [str(member.coefficient(k)) for k in range(args.n + 1)]
-    params = {"family": spec.kind, **_spec_params(spec), "n": args.n}
+    params = {**_spec_params(spec), "n": args.n}
     results = {
         "columns": ["k", "coefficient"],
         "rows": [[k, coefficients[k]] for k in range(args.n + 1)],
@@ -173,18 +162,10 @@ def _cmd_coeffs(args):
 
 
 def _cmd_verify_orthogonality(args):
-    spec = _family_from_args(args, (SCRIPT_L, SCRIPT_P, BOLD_L, BOLD_P))
+    spec = _family_from_args(args, _ALL_FAMILIES)
     report = verify_orthogonality(spec, args.nmax)
-    failed = {(n, m) for n, m, _, _ in report.failures}
-    rows = []
-    form = sobolev_form_for(spec)
-    for n in range(args.nmax + 1):
-        yn = make_member(spec, n)
-        for m in range(n + 1):
-            inner = sobolev_inner_exact(form, yn, make_member(spec, m))
-            want = a_n_normalized(spec, n) if n == m else Fraction(0)
-            rows.append([n, m, str(inner), str(want), (n, m) not in failed])
-    params = {"family": spec.kind, **_spec_params(spec), "nmax": args.nmax}
+    rows = [[n, m, str(got), str(want), got == want] for n, m, got, want in report.entries]
+    params = {**_spec_params(spec), "nmax": args.nmax}
     results = {
         "columns": ["n", "m", "inner_product", "expected", "ok"],
         "rows": rows,
@@ -194,58 +175,58 @@ def _cmd_verify_orthogonality(args):
     return _document("verify orthogonality", params, results, report.ok)
 
 
-def _cmd_verify_ode3(args):
-    spec = _family_from_args(args, (SCRIPT_L, SCRIPT_P))
-    rows, ok = _residual_rows(lambda n: ode3_residual(spec, n), args.nmax)
-    params = {"family": spec.kind, **_spec_params(spec), "nmax": args.nmax}
-    results = {"columns": ["n", "residual_max_coeff", "ok"], "rows": rows}
-    return _document("verify ode3", params, results, ok)
-
-
-def _cmd_verify_pencil(args):
-    spec = _family_from_args(args, (SCRIPT_L, SCRIPT_P, BOLD_L, BOLD_P))
-    rows, ok = _residual_rows(lambda n: pencil_residual(spec, n), args.nmax)
-    params = {"family": spec.kind, **_spec_params(spec), "nmax": args.nmax}
-    results = {"columns": ["n", "residual_max_coeff", "ok"], "rows": rows}
-    return _document("verify pencil", params, results, ok)
-
-
-def _cmd_verify_recurrence(args):
-    spec = _family_from_args(args, (SCRIPT_L, SCRIPT_P))
+def _recurrence_residual(spec: FamilySpec, n: int):
     if spec.kind == SCRIPT_L:
-        q, r = spec.params
-        residual_at = lambda n: recurrence_residual_L(q, r, n)
-    else:
-        a, b, c = spec.params
-        residual_at = lambda n: recurrence_residual_P(a, b, c, n)
-    rows, ok = _residual_rows(residual_at, args.nmax)
-    params = {"family": spec.kind, **_spec_params(spec), "nmax": args.nmax}
+        return recurrence_residual_L(*spec.params, n)
+    return recurrence_residual_P(*spec.params, n)
+
+
+# Subject -> (help, allowed families, residual(spec, n)) for the verify
+# subjects whose rows are the largest residual coefficient per index.  The
+# lambdas look their function up at call time, so a wrapper installed on the
+# module-level name is honoured.
+_RESIDUAL_SUBJECTS = {
+    "ode3": ("third-order differential equation residuals", _SCRIPT_FAMILIES,
+             lambda spec, n: ode3_residual(spec, n)),
+    "pencil": ("operator-pencil eigenfunction residuals", _ALL_FAMILIES,
+               lambda spec, n: pencil_residual(spec, n)),
+    "recurrence": ("five-polynomial recurrence residuals", _SCRIPT_FAMILIES,
+                   _recurrence_residual),
+}
+
+
+def _cmd_verify_residuals(args):
+    _, allowed, residual = _RESIDUAL_SUBJECTS[args.subject]
+    spec = _family_from_args(args, allowed)
+    rows = []
+    for n in range(args.nmax + 1):
+        res = residual(spec, n)
+        peak = max((abs(cc) for cc in res.coeffs), default=Fraction(0))
+        rows.append([n, str(peak), res.is_zero])
+    params = {**_spec_params(spec), "nmax": args.nmax}
     results = {"columns": ["n", "residual_max_coeff", "ok"], "rows": rows}
-    return _document("verify recurrence", params, results, ok)
+    return _document(f"verify {args.subject}", params, results, all(row[-1] for row in rows))
 
 
 def _cmd_verify_integral_rep(args):
-    spec = _family_from_args(args, (SCRIPT_L, SCRIPT_P))
+    spec = _family_from_args(args, _SCRIPT_FAMILIES)
     z = args.z
     if z is None:
         raise ValueError("integral-rep needs --z (the evaluation point)")
     rows = []
-    ok_all = True
     for n in range(args.nmax + 1):
         lhs, rhs = integral_rep_check(spec, n, z, args.points)
         err = abs(lhs - rhs)
         ok = err <= args.tol * max(1.0, abs(lhs))
-        ok_all = ok_all and ok
         rows.append([n, lhs, rhs, err, ok])
     params = {
-        "family": spec.kind,
         **_spec_params(spec),
         "nmax": args.nmax,
         "z": z,
         "tol": args.tol,
     }
     results = {"columns": ["n", "direct", "integral", "abs_err", "ok"], "rows": rows}
-    return _document("verify integral-rep", params, results, ok_all)
+    return _document("verify integral-rep", params, results, all(row[-1] for row in rows))
 
 
 def _cmd_verify_limit(args):
@@ -281,30 +262,25 @@ def _cmd_verify_limit(args):
 
 def _cmd_verify_psi(args):
     rows = []
-    ok_all = True
     for n in range(2, args.nmax + 1):
         res = psi_consistency(args.a, args.b, args.c, n)
         ok = all(v == 0 for v in res)
-        ok_all = ok_all and ok
         rows.append([n, *[str(v) for v in res], ok])
     params = {"a": str(args.a), "b": str(args.b), "c": str(args.c), "nmax": args.nmax}
     results = {
         "columns": ["n", "relation1", "relation2", "relation3", "relation4", "ok"],
         "rows": rows,
     }
-    return _document("verify psi", params, results, ok_all)
+    return _document("verify psi", params, results, all(row[-1] for row in rows))
 
 
 def _cmd_table_roots(args):
-    spec = _family_from_args(args, (SCRIPT_L, SCRIPT_P, BOLD_L, BOLD_P))
-    if args.n is None:
-        raise ValueError("roots needs --n")
-    member = make_member(spec, args.n)
+    spec, member = _member_from_args(args, "roots")
     if member.degree is None or member.degree < 1:
         raise ValueError("roots needs a member of degree at least 1 (n >= 1)")
     found = roots(member)
     rows = [[i, z.real, z.imag] for i, z in enumerate(found.roots)]
-    params = {"family": spec.kind, **_spec_params(spec), "n": args.n}
+    params = {**_spec_params(spec), "n": args.n}
     results = {
         "columns": ["index", "real", "imag"],
         "rows": rows,
@@ -315,15 +291,11 @@ def _cmd_table_roots(args):
 
 
 def _cmd_table_eval_grid(args):
-    spec = _family_from_args(args, (SCRIPT_L, SCRIPT_P, BOLD_L, BOLD_P))
-    if args.n is None:
-        raise ValueError("eval-grid needs --n")
+    spec, member = _member_from_args(args, "eval-grid")
     if args.x_range is None:
         raise ValueError("eval-grid needs --x-range lo:hi:count")
-    member = make_member(spec, args.n)
     rows = [[float(x), float(member(x))] for x in args.x_range]
     params = {
-        "family": spec.kind,
         **_spec_params(spec),
         "n": args.n,
         "x_range": [str(x) for x in args.x_range],
@@ -333,58 +305,34 @@ def _cmd_table_eval_grid(args):
 
 
 def _cmd_table_quad_rule(args):
-    if args.weight == "laguerre":
-        if args.q is None:
-            raise ValueError("laguerre weight needs --q")
-        weight = laguerre_weight(args.q)
-        wparams = {"q": str(args.q)}
-    else:
-        if args.a is None or args.b is None:
-            raise ValueError("jacobi weight needs --a and --b")
-        weight = jacobi_weight(args.a, args.b)
-        wparams = {"a": str(args.a), "b": str(args.b)}
+    names = ("q",) if args.weight == "laguerre" else ("a", "b")
+    values = [getattr(args, name) for name in names]
+    if any(v is None for v in values):
+        raise ValueError(f"{args.weight} weight needs {_flags(names)}")
     if args.points is None:
         raise ValueError("quad-rule needs --points")
-    rule = gauss_rule(weight, args.points)
+    rule = gauss_rule(WeightSpec(args.weight, tuple(values)), args.points)
     rows = [[i, x, w] for i, (x, w) in enumerate(zip(rule.nodes, rule.weights))]
+    wparams = {name: str(v) for name, v in zip(names, values)}
     params = {"weight": args.weight, **wparams, "points": args.points}
     results = {"columns": ["index", "node", "weight"], "rows": rows}
     return _document("table quad-rule", params, results, True)
 
 
 def _cmd_table_discriminant_grid(args):
-    if args.family == SCRIPT_L:
-        if args.q_range is None or args.r_range is None:
-            raise ValueError("scriptL discriminant grid needs --q-range and --r-range")
-        rows = []
-        for q in args.q_range:
-            for r in args.r_range:
-                d = discriminant_L(q, r)
-                rows.append([str(q), str(r), str(d), (d > 0) - (d < 0)])
-        params = {
-            "family": SCRIPT_L,
-            "q_range": [str(v) for v in args.q_range],
-            "r_range": [str(v) for v in args.r_range],
-        }
-        results = {"columns": ["q", "r", "discriminant", "sign"], "rows": rows}
-    elif args.family == SCRIPT_P:
-        if args.a_range is None or args.b_range is None or args.c_range is None:
-            raise ValueError("scriptP discriminant grid needs --a-range, --b-range and --c-range")
-        rows = []
-        for a in args.a_range:
-            for b in args.b_range:
-                for c in args.c_range:
-                    d = discriminant_P(a, b, c)
-                    rows.append([str(a), str(b), str(c), str(d), (d > 0) - (d < 0)])
-        params = {
-            "family": SCRIPT_P,
-            "a_range": [str(v) for v in args.a_range],
-            "b_range": [str(v) for v in args.b_range],
-            "c_range": [str(v) for v in args.c_range],
-        }
-        results = {"columns": ["a", "b", "c", "discriminant", "sign"], "rows": rows}
-    else:
-        raise ValueError("discriminant-grid supports scriptL and scriptP")
+    names = _FAMILY_FLAGS[args.family][0]
+    ranges = [getattr(args, f"{name}_range") for name in names]
+    if any(grid is None for grid in ranges):
+        needs = _flags(f"{name}-range" for name in names)
+        raise ValueError(f"{args.family} discriminant grid needs {needs}")
+    discriminant = discriminant_L if args.family == SCRIPT_L else discriminant_P
+    rows = []
+    for point in itertools.product(*ranges):
+        d = discriminant(*point)
+        rows.append([*(str(v) for v in point), str(d), (d > 0) - (d < 0)])
+    params = {"family": args.family}
+    params.update({f"{name}_range": [str(v) for v in grid] for name, grid in zip(names, ranges)})
+    results = {"columns": [*names, "discriminant", "sign"], "rows": rows}
     return _document("table discriminant-grid", params, results, True)
 
 
@@ -431,13 +379,9 @@ def _render(doc: dict, fmt: str) -> str:
 
 
 def _add_family_flags(p: argparse.ArgumentParser):
-    p.add_argument("--family", required=True,
-                   choices=[SCRIPT_L, SCRIPT_P, BOLD_L, BOLD_P])
-    p.add_argument("--q", type=_rational)
-    p.add_argument("--r", type=_rational)
-    p.add_argument("--a", type=_rational)
-    p.add_argument("--b", type=_rational)
-    p.add_argument("--c", type=_rational)
+    p.add_argument("--family", required=True, choices=_ALL_FAMILIES)
+    for name in _HEAD_FLAGS:
+        p.add_argument(f"--{name}", type=_rational)
     p.add_argument("--rs", type=_rational_list, metavar="R1,R2,...")
     p.add_argument("--cs", type=_rational_list, metavar="C1,C2,...")
 
@@ -464,29 +408,18 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="re-derive identities over an index range")
     vsub = verify.add_subparsers(dest="subject", required=True)
 
-    p = vsub.add_parser("orthogonality", help="exact Sobolev orthogonality with diagonal values")
-    _add_family_flags(p)
-    p.add_argument("--nmax", type=int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_verify_orthogonality)
-
-    p = vsub.add_parser("ode3", help="third-order differential equation residuals")
-    _add_family_flags(p)
-    p.add_argument("--nmax", type=int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_verify_ode3)
-
-    p = vsub.add_parser("pencil", help="operator-pencil eigenfunction residuals")
-    _add_family_flags(p)
-    p.add_argument("--nmax", type=int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_verify_pencil)
-
-    p = vsub.add_parser("recurrence", help="five-polynomial recurrence residuals")
-    _add_family_flags(p)
-    p.add_argument("--nmax", type=int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_verify_recurrence)
+    family_subjects = {
+        "orthogonality": ("exact Sobolev orthogonality with diagonal values",
+                          _cmd_verify_orthogonality),
+        **{subject: (entry[0], _cmd_verify_residuals)
+           for subject, entry in _RESIDUAL_SUBJECTS.items()},
+    }
+    for subject, (help_text, handler) in family_subjects.items():
+        p = vsub.add_parser(subject, help=help_text)
+        _add_family_flags(p)
+        p.add_argument("--nmax", type=int, required=True)
+        _add_output_flags(p)
+        p.set_defaults(handler=handler)
 
     p = vsub.add_parser("integral-rep", help="integral representation vs direct evaluation")
     _add_family_flags(p)
@@ -540,12 +473,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_table_quad_rule)
 
     p = tsub.add_parser("discriminant-grid", help="degree-2 discriminants over parameter grids")
-    p.add_argument("--family", required=True, choices=[SCRIPT_L, SCRIPT_P])
-    p.add_argument("--q-range", type=_rational_range, metavar="LO:HI:COUNT")
-    p.add_argument("--r-range", type=_rational_range, metavar="LO:HI:COUNT")
-    p.add_argument("--a-range", type=_rational_range, metavar="LO:HI:COUNT")
-    p.add_argument("--b-range", type=_rational_range, metavar="LO:HI:COUNT")
-    p.add_argument("--c-range", type=_rational_range, metavar="LO:HI:COUNT")
+    p.add_argument("--family", required=True, choices=_SCRIPT_FAMILIES)
+    for name in _HEAD_FLAGS:
+        p.add_argument(f"--{name}-range", type=_rational_range, metavar="LO:HI:COUNT")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_table_discriminant_grid)
 
@@ -557,12 +487,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         doc = args.handler(args)
-    except (PoleError, DomainError, ValueError, TypeError) as exc:
+    except (PoleError, DomainError, ValueError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, ConvergenceError) else 2
     rendered = _render(doc, args.format)
     if args.out:
         Path(args.out).write_text(rendered)

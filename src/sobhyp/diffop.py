@@ -110,13 +110,25 @@ def make_D_xi(r: int) -> DiffOp:
     return DiffOp(tuple(coeffs))
 
 
-def _integer_indices(values: Sequence[Fraction], label: str) -> list[int]:
-    out = []
-    for v in values:
+def _weight_and_orders(spec: FamilySpec) -> tuple[tuple[Fraction, ...], list[int]]:
+    """Split a hypergeometric spec into its weight parameters and lowering orders.
+
+    The weight parameters are (q,) on the Laguerre side and (a, b) on the
+    Jacobi side.  Every remaining parameter (r, c or a slot list entry) sets
+    the order of one lowering operator, so it must be a positive integer.
+    """
+    if spec.kind in (SCRIPT_L, BOLD_L):
+        head = 1
+    elif spec.kind in (SCRIPT_P, BOLD_P):
+        head = 2
+    else:
+        raise ValueError(f"no lowering operator for family kind {spec.kind!r}")
+    orders = []
+    for v in spec.params[head:]:
         if v.denominator != 1 or v < 1:
-            raise ValueError(f"{label} must be a positive integer for this operation, got {v}")
-        out.append(int(v))
-    return out
+            raise ValueError(f"lowering-operator index must be a positive integer, got {v}")
+        orders.append(int(v))
+    return spec.params[:head], orders
 
 
 def composed_lowering(rs: Sequence[int]) -> DiffOp:
@@ -142,28 +154,15 @@ def jacobi_operator(a, b) -> tuple[DiffOp, Callable[[int], Fraction]]:
     return op, lambda n: -n * (n + a + b - 1)
 
 
-def _pencil_pieces(spec: FamilySpec):
-    if spec.kind in (SCRIPT_L, BOLD_L):
-        q, *rs = spec.params
-        lowering = composed_lowering(_integer_indices(rs, "each r parameter"))
-        op, eig = laguerre_operator(q)
-        return lowering, op, eig
-    if spec.kind in (SCRIPT_P, BOLD_P):
-        a, b, *cs = spec.params
-        lowering = composed_lowering(_integer_indices(cs, "each c parameter"))
-        op, eig = jacobi_operator(a, b)
-        return lowering, op, eig
-    raise ValueError(f"no operator pencil for family kind {spec.kind!r}")
-
-
 def pencil_residual(spec: FamilySpec, n: int) -> Poly:
     """L(D y_n) - lambda_n (D y_n) for the family's classical operator L.
 
     Zero exactly when the lowered member is a classical eigenfunction; the
     verification suite asserts this over whole parameter grids.
     """
-    lowering, op, eig = _pencil_pieces(spec)
-    u = lowering(make_member(spec, n))
+    head, orders = _weight_and_orders(spec)
+    op, eig = laguerre_operator(*head) if len(head) == 1 else jacobi_operator(*head)
+    u = composed_lowering(orders)(make_member(spec, n))
     return op(u) - eig(n) * u
 
 

@@ -29,12 +29,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import Sequence
+from math import factorial, prod
 
-from .diffop import DiffOp, composed_lowering
+from .diffop import DiffOp, _weight_and_orders, composed_lowering
 from .exactnum import Poly, as_rational, pochhammer
-from .families import BOLD_L, BOLD_P, SCRIPT_L, SCRIPT_P, FamilySpec, make_member
+from .families import FamilySpec, make_member
 
 __all__ = [
     "ConvergenceError",
@@ -112,22 +111,9 @@ def sobolev_form_for(spec: FamilySpec) -> SobolevForm:
     Requires the r (Laguerre side) or c (Jacobi side) parameters to be
     positive integers, since they set lowering-operator orders.
     """
-    if spec.kind in (SCRIPT_L, BOLD_L):
-        q, *rs = spec.params
-        return SobolevForm(laguerre_weight(q), composed_lowering(_as_orders(rs)))
-    if spec.kind in (SCRIPT_P, BOLD_P):
-        a, b, *cs = spec.params
-        return SobolevForm(jacobi_weight(a, b), composed_lowering(_as_orders(cs)))
-    raise ValueError(f"no Sobolev form for family kind {spec.kind!r}")
-
-
-def _as_orders(values: Sequence[Fraction]) -> list[int]:
-    out = []
-    for v in values:
-        if v.denominator != 1 or v < 1:
-            raise ValueError(f"lowering-operator index must be a positive integer, got {v}")
-        out.append(int(v))
-    return out
+    head, orders = _weight_and_orders(spec)
+    weight = laguerre_weight(*head) if len(head) == 1 else jacobi_weight(*head)
+    return SobolevForm(weight, composed_lowering(orders))
 
 
 def sobolev_inner_exact(form: SobolevForm, yn: Poly, ym: Poly) -> Fraction:
@@ -147,34 +133,40 @@ def a_n_normalized(spec: FamilySpec, n: int) -> Fraction:
     """Closed form of the diagonal value <y_n, y_n> under the family's form."""
     if n < 0:
         raise ValueError("member index must be nonnegative")
-    if spec.kind in (SCRIPT_L, BOLD_L):
-        q, *rs = spec.params
-        pref = 1
-        for r in _as_orders(rs):
-            pref *= factorial(r - 1)
-        return Fraction(pref) ** 2 * factorial(n) / pochhammer(q, n)
-    if spec.kind in (SCRIPT_P, BOLD_P):
-        a, b, *cs = spec.params
-        pref = 1
-        for c in _as_orders(cs):
-            pref *= factorial(c - 1)
-        if n == 0:
-            return Fraction(pref) ** 2
-        return (
-            Fraction(pref) ** 2
-            * factorial(n)
-            * pochhammer(b, n)
-            / (pochhammer(a, n) * (2 * n + a + b - 1) * pochhammer(a + b, n - 1))
-        )
-    raise ValueError(f"no normalized diagonal for family kind {spec.kind!r}")
+    head, orders = _weight_and_orders(spec)
+    pref = Fraction(prod(factorial(r - 1) for r in orders)) ** 2
+    if len(head) == 1:
+        (q,) = head
+        return pref * factorial(n) / pochhammer(q, n)
+    a, b = head
+    if n == 0:
+        return pref
+    return (
+        pref
+        * factorial(n)
+        * pochhammer(b, n)
+        / (pochhammer(a, n) * (2 * n + a + b - 1) * pochhammer(a + b, n - 1))
+    )
 
 
 @dataclass(frozen=True)
 class OrthogonalityReport:
+    """Every pair checked by ``verify_orthogonality`` as (n, m, got, want).
+
+    Entries run n = 0..nmax and, within each n, m = 0..n.
+    """
+
     spec: FamilySpec
     nmax: int
-    pairs_checked: int
-    failures: tuple[tuple[int, int, Fraction, Fraction], ...]
+    entries: tuple[tuple[int, int, Fraction, Fraction], ...]
+
+    @property
+    def pairs_checked(self) -> int:
+        return len(self.entries)
+
+    @property
+    def failures(self) -> tuple[tuple[int, int, Fraction, Fraction], ...]:
+        return tuple(e for e in self.entries if e[2] != e[3])
 
     @property
     def ok(self) -> bool:
@@ -184,17 +176,14 @@ class OrthogonalityReport:
 def verify_orthogonality(spec: FamilySpec, nmax: int) -> OrthogonalityReport:
     """Exact check of <y_n, y_m> = delta_{nm} A_n for all 0 <= m <= n <= nmax."""
     form = sobolev_form_for(spec)
-    failures = []
-    pairs = 0
+    entries = []
     for n in range(nmax + 1):
         yn = make_member(spec, n)
+        diagonal = a_n_normalized(spec, n)
         for m in range(n + 1):
-            pairs += 1
             got = sobolev_inner_exact(form, yn, make_member(spec, m))
-            want = a_n_normalized(spec, n) if n == m else Fraction(0)
-            if got != want:
-                failures.append((n, m, got, want))
-    return OrthogonalityReport(spec, nmax, pairs, tuple(failures))
+            entries.append((n, m, got, diagonal if n == m else Fraction(0)))
+    return OrthogonalityReport(spec, nmax, tuple(entries))
 
 
 # --- Gauss rules -----------------------------------------------------------

@@ -1,11 +1,13 @@
 """End-to-end CLI tests: exit codes, JSON schema, determinism, file output."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+import sobhyp.sobolev
 from sobhyp.cli import main
 
 
@@ -78,6 +80,29 @@ def test_verify_orthogonality_pass(capsys):
     assert doc["results"]["failures"] == 0
     assert doc["results"]["columns"] == ["n", "m", "inner_product", "expected", "ok"]
     assert all(row[4] is True for row in doc["results"]["rows"])
+
+
+def test_verify_orthogonality_computes_each_pair_once(capsys, monkeypatch):
+    original = sobhyp.sobolev.sobolev_inner_exact
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    # Replace the function at every place it is bound, as the benchmark's
+    # tracer does, so a caller importing it by name is counted too.
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "sobhyp" or name.startswith("sobhyp.")):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    code, doc, _ = run_json(
+        capsys, "verify", "orthogonality", "--family", "scriptL",
+        "--q", "1/2", "--r", "2", "--nmax", "4",
+    )
+    assert code == 0
+    assert 0 < len(calls) <= doc["results"]["pairs_checked"] == 15
 
 
 def test_verify_orthogonality_bold_p(capsys):
@@ -276,6 +301,15 @@ def test_invalid_parameter_value_exits_2(capsys):
     assert "positive" in err
 
 
+def test_programming_error_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(*args):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr("sobhyp.cli.make_member", broken)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        main(["coeffs", "--family", "scriptL", "--q", "1", "--r", "2", "--n", "1"])
+
+
 def test_argparse_rejects_unknown_family():
     with pytest.raises(SystemExit) as info:
         main(["coeffs", "--family", "hermite", "--n", "2"])
@@ -298,3 +332,140 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["results"]["coefficients"] == ["1", "-2/9", "1/72"]
+
+
+# --- golden stdout bytes ------------------------------------------------------
+#
+# SHA-256 of stdout and the exit code for every subcommand in every format, at
+# small sizes.  The digests were recorded before the CLI's handlers were merged
+# into shared code paths; a refactor must leave them unchanged.
+
+GOLDEN_CASES = {
+    "coeffs-scriptL": ["coeffs", "--family", "scriptL", "--q", "3", "--r", "3", "--n", "2"],
+    "coeffs-scriptP": ["coeffs", "--family", "scriptP", "--a", "1", "--b", "1/2", "--c", "2", "--n", "3"],
+    "coeffs-boldL": ["coeffs", "--family", "boldL", "--q", "2", "--n", "3"],
+    "coeffs-boldP": ["coeffs", "--family", "boldP", "--a", "1", "--b", "2", "--cs", "2,3", "--n", "3"],
+    "orthogonality-scriptL": ["verify", "orthogonality", "--family", "scriptL",
+                              "--q", "1/2", "--r", "2", "--nmax", "4"],
+    "orthogonality-boldP": ["verify", "orthogonality", "--family", "boldP",
+                            "--a", "1", "--b", "2", "--cs", "2,3", "--nmax", "3"],
+    "ode3-scriptL": ["verify", "ode3", "--family", "scriptL", "--q", "2", "--r", "3", "--nmax", "4"],
+    "ode3-scriptP": ["verify", "ode3", "--family", "scriptP", "--a", "1", "--b", "2", "--c", "3",
+                     "--nmax", "4"],
+    "ode3-rejects-boldL": ["verify", "ode3", "--family", "boldL", "--q", "1", "--rs", "2,3",
+                           "--nmax", "4"],
+    "pencil-boldL": ["verify", "pencil", "--family", "boldL", "--q", "2", "--rs", "2,3",
+                     "--nmax", "4"],
+    "pencil-scriptP": ["verify", "pencil", "--family", "scriptP", "--a", "1", "--b", "2",
+                       "--c", "3", "--nmax", "4"],
+    "recurrence-scriptL": ["verify", "recurrence", "--family", "scriptL", "--q", "5", "--r", "3",
+                           "--nmax", "4"],
+    "recurrence-scriptP": ["verify", "recurrence", "--family", "scriptP", "--a", "1", "--b", "2",
+                           "--c", "3", "--nmax", "4"],
+    "integral-rep-scriptL": ["verify", "integral-rep", "--family", "scriptL", "--q", "1",
+                             "--r", "2", "--nmax", "3", "--z", "1"],
+    "limit-pass": ["verify", "limit", "--q", "2", "--r", "3", "--n", "3"],
+    "limit-fail": ["verify", "limit", "--q", "1", "--r", "2", "--n", "1", "--b-values", "2,3"],
+    "psi": ["verify", "psi", "--a", "1", "--b", "2", "--c", "3", "--nmax", "4"],
+    "roots-scriptL": ["table", "roots", "--family", "scriptL", "--q", "3", "--r", "3", "--n", "2"],
+    "eval-grid-scriptP": ["table", "eval-grid", "--family", "scriptP", "--a", "1", "--b", "1",
+                          "--c", "2", "--n", "3", "--x-range", "0:1:3"],
+    "quad-rule-laguerre": ["table", "quad-rule", "--weight", "laguerre", "--q", "1",
+                           "--points", "3"],
+    "quad-rule-jacobi": ["table", "quad-rule", "--weight", "jacobi", "--a", "1", "--b", "2",
+                         "--points", "3"],
+    "discriminant-grid-scriptL": ["table", "discriminant-grid", "--family", "scriptL",
+                                  "--q-range", "3:3:1", "--r-range", "1:3:3"],
+    "discriminant-grid-scriptP": ["table", "discriminant-grid", "--family", "scriptP",
+                                  "--a-range", "1:2:2", "--b-range", "1:1:1",
+                                  "--c-range", "1:3:3"],
+}
+
+GOLDEN = {
+    ("coeffs-scriptL", "text"): ("f0871d2ba30f603eda4fdd1de859402b951a6a7d00adf72932e40c8d99ef3d76", 0),
+    ("coeffs-scriptL", "csv"): ("28affb4385bbe9c7385806bc310df5442b2a747cc5158f5f50b260790d5e2726", 0),
+    ("coeffs-scriptL", "json"): ("845da52430a8a89c680df9cd9734f91a7e93eef13df4cc3dc31282185039f9e1", 0),
+    ("coeffs-scriptP", "text"): ("a604d71db2f2dfeb966a98999a79c71250a2fe7b7eebb31e1fac80b279343c24", 0),
+    ("coeffs-scriptP", "csv"): ("20bf70541b13096e58dcfcf89016fb90d707ae20ad60d245b580cda3aadc3ce1", 0),
+    ("coeffs-scriptP", "json"): ("bfb32a55f6e249bae826b4c1849d017b27dcc88771a1e756798faf86be577f20", 0),
+    ("coeffs-boldL", "text"): ("1700cbc9b14f5ae686049f9640021b7daeb3f774866a92b2e1cc016a10e53a40", 0),
+    ("coeffs-boldL", "csv"): ("90f194a84e28fb78d83e28ba04867d6913429626752f536f2efde5919cc22e14", 0),
+    ("coeffs-boldL", "json"): ("501104dd7278e8d1d3a9e36937dd351e7fefba38cebbd77657fd40ece6e7bedb", 0),
+    ("coeffs-boldP", "text"): ("10192d475453c01768011625c40146a9d019e9e7e2e0e0f0a22fe2e15bcc93d7", 0),
+    ("coeffs-boldP", "csv"): ("5f1df73ec80cde314f7c892ba3a829aea78c3d984e3c057ce3f71d60cfdd84ce", 0),
+    ("coeffs-boldP", "json"): ("86330b5e3cf0b0c2af5ee37e4ec1876e84ca312a5f967c6631066b9e51e4880c", 0),
+    ("orthogonality-scriptL", "text"): ("0b7374ebf454a974b48c45a1e6b4ad411bcb261b9e563f4d394ea2621349ff5d", 0),
+    ("orthogonality-scriptL", "csv"): ("0b2e6e3e23ee09a75f83d8ac47a8babc1ae9b12381547e85cdf1809eb1b8c483", 0),
+    ("orthogonality-scriptL", "json"): ("34d97eeed8a953c1efa7dc6d9f9f20ba4ea3e6ef1719501881ecf21dd0444a41", 0),
+    ("orthogonality-boldP", "text"): ("a02ab5193e46ac3e246acca4fa5972836d55be98f88ffef25c5fff0473b1675c", 0),
+    ("orthogonality-boldP", "csv"): ("eae5f0bec1926ab4b5264cd42c91475b99e5dad02ed2298206fc355d426e7e06", 0),
+    ("orthogonality-boldP", "json"): ("7d9ff2618be679000622f3e829148abb8df59b3d331d74d703d5dfb5eec9ad44", 0),
+    ("ode3-scriptL", "text"): ("da8e3b41c26da58b2bd0368d492d7479f6d897ee34aa109effa6df65146eaac7", 0),
+    ("ode3-scriptL", "csv"): ("da9d896da254f4e2c06cb6dc847585161c3d194bed9ada75ad9449f37d68d328", 0),
+    ("ode3-scriptL", "json"): ("631ec5f13bd198d7d56befd310172d6010d337e61ad3376741610a0187604959", 0),
+    ("ode3-scriptP", "text"): ("8340460425be23ae53d7a913071840e7eaebebe138d5ce73fb1402ec507fd1ec", 0),
+    ("ode3-scriptP", "csv"): ("da9d896da254f4e2c06cb6dc847585161c3d194bed9ada75ad9449f37d68d328", 0),
+    ("ode3-scriptP", "json"): ("f3388099a5e4716c98317e0f7710c099bbddaf976e4104102bcae68ab1732422", 0),
+    ("ode3-rejects-boldL", "text"): ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    ("ode3-rejects-boldL", "csv"): ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    ("ode3-rejects-boldL", "json"): ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    ("pencil-boldL", "text"): ("6fb10b113c4ba012a3314aad8521729ff1e87794be94f6df9dc73a227c4a9a0c", 0),
+    ("pencil-boldL", "csv"): ("da9d896da254f4e2c06cb6dc847585161c3d194bed9ada75ad9449f37d68d328", 0),
+    ("pencil-boldL", "json"): ("45cddafe981609c5c3d3169628fa81ec5c063cb342d43f0ff8bd5d2c90587bdb", 0),
+    ("pencil-scriptP", "text"): ("6a0c9229c14538200457035aafb068f37888044fbd9357e244b9c1465f135ecd", 0),
+    ("pencil-scriptP", "csv"): ("da9d896da254f4e2c06cb6dc847585161c3d194bed9ada75ad9449f37d68d328", 0),
+    ("pencil-scriptP", "json"): ("bc20b95ff4ce0e3237b265de334e5349555229e67a7f25bcfdd4b9f7b1b91275", 0),
+    ("recurrence-scriptL", "text"): ("6bc979fffd800ddd30af4b21586a72999e48036ed41e07cc20ef86391941f95e", 0),
+    ("recurrence-scriptL", "csv"): ("da9d896da254f4e2c06cb6dc847585161c3d194bed9ada75ad9449f37d68d328", 0),
+    ("recurrence-scriptL", "json"): ("445718dd623076a621cf3b2e3f142e3bc7646014a506085c6092a2ff0262a402", 0),
+    ("recurrence-scriptP", "text"): ("6645e92b13365305bf941f616aa5fc550d08b4c66742fa4e3329af83d71134fb", 0),
+    ("recurrence-scriptP", "csv"): ("da9d896da254f4e2c06cb6dc847585161c3d194bed9ada75ad9449f37d68d328", 0),
+    ("recurrence-scriptP", "json"): ("e7ef95fcad725ae17a3535d9a990ee02344d1b225edb4dc9c54fdefdf50453f5", 0),
+    ("integral-rep-scriptL", "text"): ("549eb6b1dcb10aa7ab3db10230a0ce13a692c3d4f0487581de942a1bdab63f00", 0),
+    ("integral-rep-scriptL", "csv"): ("ec10c3ef2d0bd7aeb5611cee4400e9d6141e075955db2ded034e44b3a35df1f4", 0),
+    ("integral-rep-scriptL", "json"): ("97751d702f7a730782d32ae26b886d9b3e7df562e8e729d57a569d99ca1e5b25", 0),
+    ("limit-pass", "text"): ("8a1e6961d961ed22b6cff4c3c12ac346b25ad8ee05b672fd999bda833cab118a", 0),
+    ("limit-pass", "csv"): ("a4c3fb84636bf2a8c4310c4db9f9772fb4c61e35fee7e05a33c034062e71f171", 0),
+    ("limit-pass", "json"): ("91249e44aca4c6afedc6b56eec59f1c0cdd8ab686988f0c41dd5d7052dccd2fa", 0),
+    ("limit-fail", "text"): ("67cf7a7f37e0cd321349ce364b991019cdbc1cd8eaf27b92b30be557d5e44adf", 1),
+    ("limit-fail", "csv"): ("019ef51525061f52d92f75fc8f19b8b0a93bc4f0d26f59d4fb8b6a68f68aa9d0", 1),
+    ("limit-fail", "json"): ("a8c50332e3c1679a25c08583ded507d238e7cdbdefc2e37a855879d55fd5503b", 1),
+    ("psi", "text"): ("f3e6d96c212e5c772b2d0c7711818204535cdd32114af231451e44b8e4174095", 0),
+    ("psi", "csv"): ("63c7245b9ce6219eb19763cf14e16535974a36a16c96d91200eaf62de8fb149a", 0),
+    ("psi", "json"): ("6cfad92a392dfa24dade3a3bb0e0f1e637907156039959c61ee9305f4bb37d07", 0),
+    ("roots-scriptL", "text"): ("b6d6e848f76cac1cd989ea92502cc790cbb06d0a6abf8caab43e82fce658b771", 0),
+    ("roots-scriptL", "csv"): ("e1972237c22583c3b0f48551a8c0b27e838be318dc6f81b11e9efc8f4657324d", 0),
+    ("roots-scriptL", "json"): ("a4df2a13ae03968dec43b098f906b4f59366eb7fe63f444948d579d49b8628e9", 0),
+    ("eval-grid-scriptP", "text"): ("046a407a0d7ab7a4a633dbf587f6f2528846bb882d62d39eeb5e8fc5f0fe83d1", 0),
+    ("eval-grid-scriptP", "csv"): ("e33fa51e41536ebd0d36eac58a2cb50a62ad34ce151a700ab77bf5f318f84f74", 0),
+    ("eval-grid-scriptP", "json"): ("6c3f0e9dd76e6087af5979628c0d675640f853d1605d511328fffbeaca741b1e", 0),
+    ("quad-rule-laguerre", "text"): ("9bb5433ff4aa9883ab4356d8be02af4892e2ef093280394e3699fe6f424f2924", 0),
+    ("quad-rule-laguerre", "csv"): ("da1492e6ab0f9b4616d1d38d80aff5fe7e62b38528f07ebc07a03ce05c80a0d9", 0),
+    ("quad-rule-laguerre", "json"): ("20fff81129a03ca0d7e183303da2f8ebea48792ecb217957ffee76af1f52e355", 0),
+    ("quad-rule-jacobi", "text"): ("65ed8675639cab45a2b67848fac1e2c2617d0d641ee293750a2a9b9ef01477ea", 0),
+    ("quad-rule-jacobi", "csv"): ("60d1b9416640ee7229990bde7cca4d68439f5e574422fa591c560d3ad65cd6b0", 0),
+    ("quad-rule-jacobi", "json"): ("0805e155861526fd5ddd1ff56c76e5086b46be5e8c474af8a5c0be5d629839a4", 0),
+    ("discriminant-grid-scriptL", "text"): ("23c6d67d23e992e86327c415f46612f9c48d8fda2342d1588d04112134d271af", 0),
+    ("discriminant-grid-scriptL", "csv"): ("7987da15a0d03537ec7818866e0d01bebace966d32a4526e6a5efd831217f93b", 0),
+    ("discriminant-grid-scriptL", "json"): ("c66275940c1c689410a32dd50a23b57a90e6f6f95b829d39b0e86663dfc416c8", 0),
+    ("discriminant-grid-scriptP", "text"): ("d96b28edb622b100ef21cfff6fda9d0ae5244aee868343974d5b6821b84e2b83", 0),
+    ("discriminant-grid-scriptP", "csv"): ("37b158fb50de1da1ef6f921945d00ffd04cfdd619745399045057e905b007e55", 0),
+    ("discriminant-grid-scriptP", "json"): ("f501c4c0d90187be1030792f8550afd4196d5841e71bd017383463f5837a2375", 0),
+}
+
+
+@pytest.mark.parametrize("name,fmt", sorted(GOLDEN))
+def test_cli_golden_bytes(capsys, name, fmt):
+    code, out, _ = run_cli(capsys, *GOLDEN_CASES[name], "--format", fmt)
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == GOLDEN[(name, fmt)]
+
+
+def test_golden_cases_cover_every_subcommand():
+    covered = {tuple(argv[:2]) if argv[0] != "coeffs" else ("coeffs",)
+               for argv in GOLDEN_CASES.values()}
+    assert covered == {
+        ("coeffs",),
+        *(("verify", s) for s in ("orthogonality", "ode3", "pencil", "recurrence",
+                                  "integral-rep", "limit", "psi")),
+        *(("table", w) for w in ("roots", "eval-grid", "quad-rule", "discriminant-grid")),
+    }

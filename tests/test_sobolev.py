@@ -7,7 +7,9 @@ import pytest
 
 from sobhyp.exactnum import Poly, pochhammer
 from sobhyp.families import bold_l, bold_p, make_member, script_l, script_p
+from sobhyp.diffop import pencil_residual
 from sobhyp.sobolev import (
+    OrthogonalityReport,
     QuadRule,
     WeightSpec,
     a_n_normalized,
@@ -85,6 +87,37 @@ def test_exact_orthogonality_reports():
         report = verify_orthogonality(spec, 6)
         assert report.ok, report.failures
         assert report.pairs_checked == 28
+
+
+def test_orthogonality_report_entries():
+    spec = bold_p(1, 2, [2, 3])
+    report = verify_orthogonality(spec, 4)
+    assert len(report.entries) == report.pairs_checked == 15
+    assert [(n, m) for n, m, _, _ in report.entries] == [
+        (n, m) for n in range(5) for m in range(n + 1)
+    ]
+    for n, m, got, want in report.entries:
+        assert got == want == (a_n_normalized(spec, n) if n == m else 0)
+    assert report.failures == ()
+
+
+def test_orthogonality_report_failures_follow_entries():
+    entries = ((0, 0, F(1), F(1)), (1, 0, F(1, 3), F(0)), (1, 1, F(2), F(2)))
+    report = OrthogonalityReport(script_l(1, 2), 1, entries)
+    assert report.pairs_checked == 3
+    assert report.failures == ((1, 0, F(1, 3), F(0)),)
+    assert not report.ok
+
+
+@pytest.mark.parametrize("spec", [script_l(1, F(3, 2)), bold_p(1, 2, [2, F(5, 2)])])
+def test_non_integer_order_rejected_with_one_message(spec):
+    messages = []
+    for check in (sobolev_form_for, lambda s: a_n_normalized(s, 1), lambda s: pencil_residual(s, 1)):
+        with pytest.raises(ValueError) as info:
+            check(spec)
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1, messages
+    assert "positive integer" in messages[0]
 
 
 def test_exact_inner_product_values():

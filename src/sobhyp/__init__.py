@@ -14,134 +14,22 @@ throughout; floats appear only in the deliberately inexact cross-checks
 (Gauss quadrature, root finding, float parameter paths).
 """
 
-from .analysis import (
-    RootSet,
-    discriminant_L,
-    discriminant_P,
-    integral_rep_check,
-    limit_check,
-    roots,
-)
-from .diffop import (
-    DiffOp,
-    compose,
-    composed_lowering,
-    identity_op,
-    jacobi_operator,
-    laguerre_operator,
-    make_D_xi,
-    ode3_residual,
-    pencil_residual,
-)
-from .exactnum import Poly, Rational, as_rational, pochhammer
-from .families import (
-    FamilySpec,
-    PoleError,
-    bold_l,
-    bold_p,
-    jacobi,
-    jacobi_shifted,
-    laguerre,
-    leading_coefficient,
-    make_member,
-    member_coeffs_float,
-    script_l,
-    script_p,
-    terminating_series,
-)
-from .recurrence import (
-    DomainError,
-    PhiCoeffs,
-    PsiCoeffs,
-    generate_P_by_recurrence,
-    phi_L,
-    phi_P,
-    psi_P,
-    psi_consistency,
-    recurrence_residual_L,
-    recurrence_residual_P,
-)
-from .sobolev import (
-    ConvergenceError,
-    OrthogonalityReport,
-    QuadRule,
-    SobolevForm,
-    WeightSpec,
-    a_n_normalized,
-    gauss_rule,
-    jacobi_weight,
-    laguerre_weight,
-    moment,
-    sobolev_form_for,
-    sobolev_inner_exact,
-    sobolev_inner_quadrature,
-    verify_orthogonality,
-)
+from . import analysis, diffop, exactnum, families, recurrence, sobolev
+from .analysis import *
+from .diffop import *
+from .exactnum import *
+from .families import *
+from .recurrence import *
+from .sobolev import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # exactnum
-    "Poly",
-    "Rational",
-    "as_rational",
-    "pochhammer",
-    # families
-    "FamilySpec",
-    "PoleError",
-    "script_l",
-    "script_p",
-    "bold_l",
-    "bold_p",
-    "laguerre",
-    "jacobi",
-    "jacobi_shifted",
-    "terminating_series",
-    "make_member",
-    "leading_coefficient",
-    "member_coeffs_float",
-    # diffop
-    "DiffOp",
-    "compose",
-    "identity_op",
-    "make_D_xi",
-    "composed_lowering",
-    "laguerre_operator",
-    "jacobi_operator",
-    "pencil_residual",
-    "ode3_residual",
-    # recurrence
-    "DomainError",
-    "PhiCoeffs",
-    "PsiCoeffs",
-    "phi_P",
-    "phi_L",
-    "psi_P",
-    "recurrence_residual_P",
-    "recurrence_residual_L",
-    "generate_P_by_recurrence",
-    "psi_consistency",
-    # sobolev
-    "ConvergenceError",
-    "WeightSpec",
-    "laguerre_weight",
-    "jacobi_weight",
-    "moment",
-    "SobolevForm",
-    "sobolev_form_for",
-    "sobolev_inner_exact",
-    "a_n_normalized",
-    "OrthogonalityReport",
-    "verify_orthogonality",
-    "QuadRule",
-    "gauss_rule",
-    "sobolev_inner_quadrature",
-    # analysis
-    "RootSet",
-    "roots",
-    "discriminant_L",
-    "discriminant_P",
-    "integral_rep_check",
-    "limit_check",
+    *exactnum.__all__,
+    *families.__all__,
+    *diffop.__all__,
+    *recurrence.__all__,
+    *sobolev.__all__,
+    *analysis.__all__,
 ]

@@ -23,6 +23,7 @@ from typing import Sequence, Union
 
 from .exactnum import Poly, as_rational, pochhammer
 from .families import (
+    _LAYOUTS,
     SCRIPT_L,
     SCRIPT_P,
     FamilySpec,
@@ -62,15 +63,19 @@ class RootSet:
 
 def _monic_coeffs(p: Union[Poly, Sequence]) -> list[complex]:
     if isinstance(p, Poly):
-        cs = [complex(c) for c in p.coeffs]
+        # Stay exact until the division: a leading coefficient such as
+        # 1/200! is zero as a float, although the monic coefficients are not.
+        cs = list(p.coeffs)
     else:
         cs = [complex(c) for c in p]
         while cs and cs[-1] == 0:
             cs.pop()
     if len(cs) < 2:
         raise ValueError("root finding needs degree at least 1")
-    lead = cs[-1]
-    return [c / lead for c in cs]
+    try:
+        return [complex(c / cs[-1]) for c in cs]
+    except OverflowError as exc:
+        raise ValueError(f"the monic coefficients exceed the float range ({exc})") from None
 
 
 def roots(
@@ -82,8 +87,9 @@ def roots(
 
     Accepts a Poly or any ascending coefficient sequence (float or complex
     entries).  Raises ConvergenceError if corrections fail to shrink below
-    ``tol`` times the root scale in ``max_iter`` rounds; the partial result
-    is attached to the exception as ``partial``.
+    ``tol`` times the root scale in ``max_iter`` rounds, or as soon as an
+    approximation stops being a finite number; the partial result is
+    attached to the exception as ``partial``.
     """
     cs = _monic_coeffs(p)
     deg = len(cs) - 1
@@ -102,6 +108,7 @@ def roots(
             dv = dv * z + c
         return pv, dv
 
+    rounds = 0
     for rounds in range(1, max_iter + 1):
         worst = 0.0
         for i in range(deg):
@@ -119,14 +126,21 @@ def roots(
             w = newton if denom == 0 else newton / denom
             zs[i] -= w
             worst = max(worst, abs(w))
+        # max() skips a NaN correction (max(0.0, nan) is 0.0), so test the
+        # iterates themselves before trusting ``worst``.
+        if not all(cmath.isfinite(z) for z in zs):
+            reason = f"root iteration left the float range in round {rounds}"
+            break
         scale = max(1.0, max(abs(z) for z in zs))
         if worst < tol * scale:
             ordered = sorted(zs, key=lambda z: (z.real, z.imag))
             residual = max(abs(eval_both(z)[0]) for z in ordered)
             return RootSet(tuple(ordered), residual, rounds)
+    else:
+        reason = f"root iteration did not converge in {rounds} rounds"
     partial = RootSet(tuple(sorted(zs, key=lambda z: (z.real, z.imag))),
-                      max(abs(eval_both(z)[0]) for z in zs), max_iter)
-    err = ConvergenceError(f"root iteration did not converge in {max_iter} rounds")
+                      max(abs(eval_both(z)[0]) for z in zs), rounds)
+    err = ConvergenceError(reason)
     err.partial = partial
     raise err
 
@@ -168,26 +182,21 @@ def integral_rep_check(
     """
     if n < 0:
         raise ValueError("member index must be nonnegative")
+    if spec.kind not in (SCRIPT_L, SCRIPT_P):
+        raise ValueError(f"no integral representation for family kind {spec.kind!r}")
+    *weights, slot = spec.params
+    if slot <= 1:
+        raise ValueError(f"the integral representation needs {_LAYOUTS[spec.kind].slot} > 1")
     if spec.kind == SCRIPT_L:
-        q, r = spec.params
-        if r <= 1:
-            raise ValueError("the integral representation needs r > 1")
-        classical = make_member(laguerre(q - 1), n)
-        rule_weight = jacobi_weight(Fraction(1), r - 1)
-        binom = pochhammer(q, n) / Fraction(factorial(n))
-    elif spec.kind == SCRIPT_P:
-        a, b, c = spec.params
-        if c <= 1:
-            raise ValueError("the integral representation needs c > 1")
+        classical = make_member(laguerre(weights[0] - 1), n)
+    else:
         if abs(z) >= 1:
             raise ValueError("the Jacobi-side representation needs |z| < 1")
         # The shifted member is P_n^(a-1, b-1)(1 - 2x), so evaluating it at
         # z*t supplies the argument 1 - 2 z t directly.
-        classical = make_member(jacobi_shifted(a - 1, b - 1), n)
-        rule_weight = jacobi_weight(Fraction(1), c - 1)
-        binom = pochhammer(a, n) / Fraction(factorial(n))
-    else:
-        raise ValueError(f"no integral representation for family kind {spec.kind!r}")
+        classical = make_member(jacobi_shifted(weights[0] - 1, weights[1] - 1), n)
+    rule_weight = jacobi_weight(Fraction(1), slot - 1)
+    binom = pochhammer(weights[0], n) / Fraction(factorial(n))
     if npoints is None:
         npoints = n // 2 + 1
     rule = gauss_rule(rule_weight, npoints)

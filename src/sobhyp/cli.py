@@ -30,15 +30,7 @@ from pathlib import Path
 
 from .analysis import discriminant_L, discriminant_P, integral_rep_check, limit_check, roots
 from .diffop import ode3_residual, pencil_residual
-from .families import (
-    BOLD_L,
-    BOLD_P,
-    SCRIPT_L,
-    SCRIPT_P,
-    FamilySpec,
-    PoleError,
-    make_member,
-)
+from .families import _LAYOUTS, SCRIPT_L, SCRIPT_P, FamilySpec, PoleError, make_member
 from .recurrence import (
     DomainError,
     psi_consistency,
@@ -93,16 +85,16 @@ def _rational_range(text: str) -> list[Fraction]:
     return [lo + i * step for i in range(count)]
 
 
-# Family kind -> (required head flags, optional slot-list flag).
+# Family kind -> (required head flags, optional slot-list flag).  A one-slot
+# family takes its slot as one more head flag (--r, --c); the others take
+# their slots as a list (--rs, --cs).
 _FAMILY_FLAGS = {
-    SCRIPT_L: (("q", "r"), None),
-    SCRIPT_P: (("a", "b", "c"), None),
-    BOLD_L: (("q",), "rs"),
-    BOLD_P: (("a", "b"), "cs"),
+    kind: (weights + (slot,), None) if slots == 1 else (weights, slot)
+    for kind, (weights, slot, slots) in _LAYOUTS.items()
 }
 _ALL_FAMILIES = tuple(_FAMILY_FLAGS)
 _SCRIPT_FAMILIES = (SCRIPT_L, SCRIPT_P)
-_HEAD_FLAGS = ("q", "r", "a", "b", "c")
+_HEAD_FLAGS = tuple(dict.fromkeys(name for heads, _ in _FAMILY_FLAGS.values() for name in heads))
 
 
 def _flags(names) -> str:
@@ -294,7 +286,12 @@ def _cmd_table_eval_grid(args):
     spec, member = _member_from_args(args, "eval-grid")
     if args.x_range is None:
         raise ValueError("eval-grid needs --x-range lo:hi:count")
-    rows = [[float(x), float(member(x))] for x in args.x_range]
+    rows = []
+    for x in args.x_range:
+        try:
+            rows.append([float(x), float(member(x))])
+        except OverflowError:
+            raise ValueError(f"the member's value at x = {x} exceeds the float range") from None
     params = {
         **_spec_params(spec),
         "n": args.n,

@@ -24,14 +24,7 @@ from math import comb, factorial
 from typing import Callable, Sequence
 
 from .exactnum import Poly, as_rational
-from .families import (
-    BOLD_L,
-    BOLD_P,
-    SCRIPT_L,
-    SCRIPT_P,
-    FamilySpec,
-    make_member,
-)
+from .families import _LAYOUTS, SCRIPT_L, SCRIPT_P, FamilySpec, make_member
 
 __all__ = [
     "DiffOp",
@@ -117,12 +110,10 @@ def _weight_and_orders(spec: FamilySpec) -> tuple[tuple[Fraction, ...], list[int
     Jacobi side.  Every remaining parameter (r, c or a slot list entry) sets
     the order of one lowering operator, so it must be a positive integer.
     """
-    if spec.kind in (SCRIPT_L, BOLD_L):
-        head = 1
-    elif spec.kind in (SCRIPT_P, BOLD_P):
-        head = 2
-    else:
+    layout = _LAYOUTS.get(spec.kind)
+    if layout is None:
         raise ValueError(f"no lowering operator for family kind {spec.kind!r}")
+    head = len(layout.weights)
     orders = []
     for v in spec.params[head:]:
         if v.denominator != 1 or v < 1:

@@ -16,11 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-__all__ = ["Rational", "Scalar", "Poly", "pochhammer", "as_rational"]
+__all__ = ["Poly", "Rational", "as_rational", "pochhammer"]
 
 Rational = Fraction
-
-Scalar = Union[int, Fraction]
 
 
 def as_rational(value: Union[int, str, Fraction]) -> Fraction:

@@ -4,11 +4,11 @@ Each family member of degree n is a finite series whose term ratio is a
 fixed rational function of the summation index, so successive coefficients
 come from one multiplicative update per step and stay exact.  The families:
 
-* ``scriptL(q, r)``   -- 2F2(-n, 1; q, r; x)
-* ``scriptP(a, b, c)`` -- 3F2(-n, n-1+a+b, 1; a, c; x)
-* ``boldL(q, r1..rd)`` / ``boldP(a, b, c1..cd)`` -- the same with any number
-  of extra unit numerator / free denominator parameter slots (zero slots
-  give the classical 1F1 / 2F1 normalized forms)
+* ``boldL(q, r1..rd)`` / ``boldP(a, b, c1..cd)`` -- 1F1(-n; q; x) / 2F1(-n,
+  n-1+a+b; a; x) with any number d of extra ``(1; r_i)`` / ``(1; c_i)``
+  parameter slots (zero slots give the classical 1F1 / 2F1 normalized forms)
+* ``scriptL(q, r)`` / ``scriptP(a, b, c)`` -- the one-slot bold families
+  boldL(q, r) = 2F2(-n, 1; q, r; x) and boldP(a, b, c) = 3F2(-n, n-1+a+b, 1; a, c; x)
 * ``laguerre(alpha)``, ``jacobi(alpha, beta)``, ``jacobi_shifted(alpha, beta)``
   -- the classical polynomials with their conventional binomial prefactor;
   the shifted Jacobi variant is P_n^(alpha,beta)(1 - 2x) on [0, 1].
@@ -19,10 +19,11 @@ exists for parameters that are only available approximately.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Sequence
 
 from .exactnum import Poly, as_rational, pochhammer
@@ -51,11 +52,18 @@ LAGUERRE = "laguerre"
 JACOBI = "jacobi"
 JACOBI_SHIFTED = "jacobi_shifted"
 
-_HYPERGEOMETRIC_KINDS = (SCRIPT_L, SCRIPT_P, BOLD_L, BOLD_P)
-_CLASSICAL_KINDS = (LAGUERRE, JACOBI, JACOBI_SHIFTED)
-
-_MIN_PARAMS = {SCRIPT_L: 2, SCRIPT_P: 3, BOLD_L: 1, BOLD_P: 2}
-_EXACT_PARAMS = {SCRIPT_L: 2, SCRIPT_P: 3, LAGUERRE: 1, JACOBI: 2, JACOBI_SHIFTED: 2}
+# Hypergeometric kind -> its weight parameter names, the name of its slot
+# parameters and how many slots it takes (None: any number).  The series,
+# the closed-form leads, the lowering operators and the CLI flags all read
+# this one layout; a script family is the bold family with one slot.
+_Layout = namedtuple("_Layout", "weights slot slots")
+_LAYOUTS = {
+    SCRIPT_L: _Layout(("q",), "r", 1),
+    SCRIPT_P: _Layout(("a", "b"), "c", 1),
+    BOLD_L: _Layout(("q",), "rs", None),
+    BOLD_P: _Layout(("a", "b"), "cs", None),
+}
+_CLASSICAL_COUNTS = {LAGUERRE: 1, JACOBI: 2, JACOBI_SHIFTED: 2}
 
 
 class PoleError(ValueError):
@@ -70,22 +78,30 @@ class FamilySpec:
     params: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.kind not in _HYPERGEOMETRIC_KINDS + _CLASSICAL_KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
         params = tuple(as_rational(p) for p in self.params)
         object.__setattr__(self, "params", params)
-        want = _EXACT_PARAMS.get(self.kind)
-        if want is not None and len(params) != want:
-            raise ValueError(f"{self.kind} takes exactly {want} parameters, got {len(params)}")
-        low = _MIN_PARAMS.get(self.kind)
-        if low is not None and len(params) < low:
-            raise ValueError(f"{self.kind} takes at least {low} parameters, got {len(params)}")
-        if self.kind in _HYPERGEOMETRIC_KINDS:
-            if any(p <= 0 for p in params):
-                raise ValueError(f"{self.kind} parameters must be strictly positive")
-        else:
-            if any(p <= -1 for p in params):
-                raise ValueError(f"{self.kind} parameters must be greater than -1")
+        _check_params(self.kind, params)
+
+
+def _check_params(kind: str, params: Sequence) -> None:
+    """Reject an unknown kind, a wrong parameter count or a parameter out of range."""
+    layout = _LAYOUTS.get(kind)
+    if layout is not None:
+        low = len(layout.weights) + (layout.slots or 0)
+        exact = layout.slots is not None
+    elif kind in _CLASSICAL_COUNTS:
+        low, exact = _CLASSICAL_COUNTS[kind], True
+    else:
+        raise ValueError(f"unknown family kind {kind!r}")
+    if exact and len(params) != low:
+        raise ValueError(f"{kind} takes exactly {low} parameters, got {len(params)}")
+    if len(params) < low:
+        raise ValueError(f"{kind} takes at least {low} parameters, got {len(params)}")
+    if layout is not None:
+        if any(p <= 0 for p in params):
+            raise ValueError(f"{kind} parameters must be strictly positive")
+    elif any(p <= -1 for p in params):
+        raise ValueError(f"{kind} parameters must be greater than -1")
 
 
 def script_l(q, r) -> FamilySpec:
@@ -138,18 +154,27 @@ def terminating_series(upper: Sequence, lower: Sequence, n: int) -> Poly:
     for v in low:
         if v.denominator == 1 and 1 - n <= v <= 0:
             raise PoleError(f"lower parameter {v} is a pole within {n} terms")
-    term = Fraction(1)
+    return Poly(_series_terms(Fraction(1), up, low, n))
+
+
+def _series_terms(term, upper: Sequence, lower: Sequence, n: int) -> list:
+    """Coefficients of x^0..x^n of the series whose constant term is ``term``.
+
+    Each term is the previous one times prod (u + k) / ((k + 1) prod (l + k));
+    the scalar type of ``term`` decides the arithmetic, so the exact and the
+    float construction paths share this one loop.
+    """
     coeffs = [term]
     for k in range(n):
-        num = Fraction(1)
-        for u in up:
+        num = 1
+        for u in upper:
             num *= u + k
-        den = Fraction(k + 1)
-        for v in low:
+        den = k + 1
+        for v in lower:
             den *= v + k
         term = term * num / den
         coeffs.append(term)
-    return Poly(coeffs)
+    return coeffs
 
 
 def _series_parameters(kind: str, params: Sequence, n: int):
@@ -158,26 +183,18 @@ def _series_parameters(kind: str, params: Sequence, n: int):
     Shared between the exact and float construction paths; the scalar type
     of ``params`` decides the arithmetic.
     """
-    if kind == SCRIPT_L:
-        q, r = params
-        return 1, (-n, 1), (q, r)
-    if kind == SCRIPT_P:
-        a, b, c = params
-        return 1, (-n, n - 1 + a + b, 1), (a, c)
-    if kind == BOLD_L:
+    layout = _LAYOUTS.get(kind)
+    if layout is not None and len(layout.weights) == 1:
         q, *rs = params
         return 1, (-n, *([1] * len(rs))), (q, *rs)
-    if kind == BOLD_P:
+    if layout is not None:
         a, b, *cs = params
         return 1, (-n, n - 1 + a + b, *([1] * len(cs))), (a, *cs)
-    if kind == LAGUERRE:
-        (alpha,) = params
+    if kind in (LAGUERRE, JACOBI_SHIFTED):
+        alpha = params[0]
         pref = pochhammer(alpha + 1, n) / factorial(n) if n else 1
-        return pref, (-n,), (alpha + 1,)
-    if kind == JACOBI_SHIFTED:
-        alpha, beta = params
-        pref = pochhammer(alpha + 1, n) / factorial(n) if n else 1
-        return pref, (-n, n + alpha + beta + 1), (alpha + 1,)
+        upper = (-n,) if kind == LAGUERRE else (-n, n + alpha + params[1] + 1)
+        return pref, upper, (alpha + 1,)
     raise ValueError(f"no hypergeometric data for kind {kind!r}")
 
 
@@ -203,23 +220,14 @@ def leading_coefficient(spec: FamilySpec, n: int) -> Fraction:
     if n < 0:
         raise ValueError("member index must be nonnegative")
     mn = Fraction(pochhammer(Fraction(-n), n))  # (-1)^n n!
-    if spec.kind == SCRIPT_L:
-        q, r = spec.params
-        return mn / (pochhammer(q, n) * pochhammer(r, n))
-    if spec.kind == SCRIPT_P:
-        a, b, c = spec.params
-        return mn * pochhammer(n - 1 + a + b, n) / (pochhammer(a, n) * pochhammer(c, n))
-    if spec.kind == BOLD_L:
+    layout = _LAYOUTS.get(spec.kind)
+    if layout is not None and len(layout.weights) == 1:
         q, *rs = spec.params
-        den = pochhammer(q, n)
-        for r in rs:
-            den *= pochhammer(r, n)
+        den = prod(pochhammer(v, n) for v in (q, *rs))
         return mn * Fraction(factorial(n)) ** (len(rs) - 1) / den
-    if spec.kind == BOLD_P:
+    if layout is not None:
         a, b, *cs = spec.params
-        den = pochhammer(a, n)
-        for c in cs:
-            den *= pochhammer(c, n)
+        den = prod(pochhammer(v, n) for v in (a, *cs))
         return mn * pochhammer(n - 1 + a + b, n) * Fraction(factorial(n)) ** (len(cs) - 1) / den
     if spec.kind == LAGUERRE:
         return Fraction(-1) ** n / factorial(n)
@@ -242,14 +250,7 @@ def member_coeffs_float(kind: str, params: Sequence[float], n: int) -> list[floa
     if n < 0:
         raise ValueError("member index must be nonnegative")
     ps = [float(p) for p in params]
-    if kind in _HYPERGEOMETRIC_KINDS:
-        if any(p <= 0 for p in ps):
-            raise ValueError(f"{kind} parameters must be strictly positive")
-    elif kind in _CLASSICAL_KINDS:
-        if any(p <= -1 for p in ps):
-            raise ValueError(f"{kind} parameters must be greater than -1")
-    else:
-        raise ValueError(f"unknown family kind {kind!r}")
+    _check_params(kind, ps)
     if kind == JACOBI:
         inner = member_coeffs_float(JACOBI_SHIFTED, ps, n)
         # Horner composition with (1 - t)/2 over float list-polynomials.
@@ -262,15 +263,4 @@ def member_coeffs_float(kind: str, params: Sequence[float], n: int) -> list[floa
                 out.pop()
         return out
     pref, up, low = _series_parameters(kind, ps, n)
-    term = float(pref)
-    coeffs = [term]
-    for k in range(n):
-        num = 1.0
-        for u in up:
-            num *= u + k
-        den = float(k + 1)
-        for v in low:
-            den *= v + k
-        term = term * num / den
-        coeffs.append(term)
-    return coeffs
+    return _series_terms(float(pref), up, low, n)

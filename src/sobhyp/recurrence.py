@@ -150,7 +150,6 @@ def generate_P_by_recurrence(a, b, c, N: int) -> list[Poly]:
     """
     if N < 0:
         raise ValueError("generation length must be nonnegative")
-    x = Poly.monomial(1)
     out = [Poly([1])]
     for n in range(N):
         phi = phi_P(a, b, c, n)
@@ -159,17 +158,9 @@ def generate_P_by_recurrence(a, b, c, N: int) -> list[Poly]:
                 f"phi4 vanishes at n={n} (a+b={as_rational(a) + as_rational(b)}); "
                 "the recurrence cannot be solved for the next member"
             )
-        ym2 = out[n - 2] if n >= 2 else Poly()
-        ym1 = out[n - 1] if n >= 1 else Poly()
-        yn = out[n]
-        rhs = (
-            phi.phi1 * ym2
-            + phi.phi2 * ym1
-            + phi.phi3 * yn
-            + phi.phi5 * (x * ym1)
-            + phi.phi6 * (x * yn)
-        )
-        out.append(rhs * (Fraction(-1) / phi.phi4))
+        # The residual with y_{n+1} read as zero is every term but phi4 y_{n+1}.
+        rest = _five_term_residual(lambda k: out[k] if k <= n else Poly(), phi, n)
+        out.append(rest * (Fraction(-1) / phi.phi4))
     return out
 
 

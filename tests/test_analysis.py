@@ -104,6 +104,19 @@ def test_roots_nonconvergence_attaches_partial():
     assert partial.iterations == 1
 
 
+def test_roots_stop_at_the_first_non_finite_round():
+    with pytest.raises(ConvergenceError, match="round 1") as info:
+        roots(make_member(script_l(1, 1), 18))
+    partial = info.value.partial
+    assert len(partial.roots) == 18
+    assert partial.iterations == 1
+
+
+def test_roots_monic_overflow_is_a_value_error():
+    with pytest.raises(ValueError, match="float range"):
+        roots(make_member(script_l(1, 1), 200))
+
+
 def test_discriminant_values_laguerre_side():
     assert discriminant_L(3, 3) == -128
     assert discriminant_L(1, 1) == 32

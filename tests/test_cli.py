@@ -231,6 +231,28 @@ def test_table_roots_needs_degree(capsys):
     assert "degree" in err
 
 
+def test_table_roots_non_finite_iterates_exit_1(capsys):
+    # At n = 18 the start circle is so wide that the first round overflows;
+    # the NaN iterates used to be reported as a converged pass.
+    code, out, err = run_cli(
+        capsys, "table", "roots", "--family", "scriptL", "--q", "1", "--r", "1", "--n", "18"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "round 1" in err
+
+
+def test_table_roots_float_range_overflow_exits_2(capsys):
+    # The leading coefficient 1/200! underflows as a float and the monic
+    # coefficients overflow; neither may escape as a traceback.
+    code, out, err = run_cli(
+        capsys, "table", "roots", "--family", "scriptL", "--q", "1", "--r", "1", "--n", "200"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "float range" in err
+
+
 def test_table_quad_rule(capsys):
     code, doc, _ = run_json(
         capsys, "table", "quad-rule", "--weight", "laguerre", "--q", "1", "--points", "2"
@@ -262,6 +284,16 @@ def test_table_eval_grid(capsys):
     rows = doc["results"]["rows"]
     assert [row[0] for row in rows] == [0.0, 0.5, 1.0]
     assert rows[0][1] == 1.0  # members are normalized to 1 at the origin
+
+
+def test_table_eval_grid_overflow_names_x(capsys):
+    code, out, err = run_cli(
+        capsys, "table", "eval-grid", "--family", "scriptL", "--q", "1", "--r", "1",
+        "--n", "100", "--x-range", "0:1e6:3",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: the member's value at x = 500000 exceeds the float range\n"
 
 
 def test_table_discriminant_grid_signs(capsys):

@@ -77,6 +77,11 @@ def test_bold_families_with_empty_extra_slots():
 def test_bold_reduces_to_script():
     assert make_member(bold_l(2, [3]), 5) == make_member(script_l(2, 3), 5)
     assert make_member(bold_p(1, 2, [3]), 5) == make_member(script_p(1, 2, 3), 5)
+    for n in range(6):
+        assert leading_coefficient(bold_l(2, [3]), n) == leading_coefficient(script_l(2, 3), n)
+        assert leading_coefficient(bold_p(1, 2, [3]), n) == leading_coefficient(
+            script_p(1, 2, 3), n
+        )
 
 
 @pytest.mark.parametrize(
@@ -173,6 +178,19 @@ def test_float_path_validation():
         member_coeffs_float("scriptL", [-1.0, 2.0], 3)
     with pytest.raises(ValueError):
         member_coeffs_float("mystery", [1.0], 3)
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [("scriptL", [1]), ("scriptP", [1, 2, 3, 4]), ("boldL", []), ("laguerre", [1, 2])],
+)
+def test_float_path_rejects_wrong_parameter_count_like_exact(kind, params):
+    with pytest.raises(ValueError) as exact:
+        FamilySpec(kind, tuple(F(p) for p in params))
+    with pytest.raises(ValueError) as approx:
+        member_coeffs_float(kind, [float(p) for p in params], 3)
+    assert "parameters, got" in str(exact.value)
+    assert str(approx.value) == str(exact.value)
 
 
 def test_specs_are_hashable_and_comparable():

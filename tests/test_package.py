@@ -1,0 +1,30 @@
+"""The package namespace: the public names and their order."""
+
+import sobhyp
+
+PUBLIC_NAMES = [
+    "__version__",
+    "Poly", "Rational", "as_rational", "pochhammer",
+    "FamilySpec", "PoleError", "script_l", "script_p", "bold_l", "bold_p", "laguerre",
+    "jacobi", "jacobi_shifted", "terminating_series", "make_member", "leading_coefficient",
+    "member_coeffs_float",
+    "DiffOp", "compose", "identity_op", "make_D_xi", "composed_lowering", "laguerre_operator",
+    "jacobi_operator", "pencil_residual", "ode3_residual",
+    "DomainError", "PhiCoeffs", "PsiCoeffs", "phi_P", "phi_L", "psi_P", "recurrence_residual_P",
+    "recurrence_residual_L", "generate_P_by_recurrence", "psi_consistency",
+    "ConvergenceError", "WeightSpec", "laguerre_weight", "jacobi_weight", "moment",
+    "SobolevForm", "sobolev_form_for", "sobolev_inner_exact", "a_n_normalized",
+    "OrthogonalityReport", "verify_orthogonality", "QuadRule", "gauss_rule",
+    "sobolev_inner_quadrature",
+    "RootSet", "roots", "discriminant_L", "discriminant_P", "integral_rep_check",
+    "limit_check",
+]
+
+
+def test_public_names_are_pinned_in_order():
+    assert sobhyp.__all__ == PUBLIC_NAMES
+
+
+def test_every_public_name_resolves():
+    for name in sobhyp.__all__:
+        assert getattr(sobhyp, name) is not None, name

@@ -60,6 +60,16 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _rational_list(text: str) -> list[Fraction]:
     items = [part for part in text.split(",") if part.strip()]
     if not items:
@@ -156,6 +166,9 @@ def _cmd_coeffs(args):
 def _cmd_verify_orthogonality(args):
     spec = _family_from_args(args, _ALL_FAMILIES)
     report = verify_orthogonality(spec, args.nmax)
+    if report.failures:
+        n, m, got, want = report.failures[0]
+        print(f"first failure: <y_{n}, y_{m}> = {got}, want {want}", file=sys.stderr)
     rows = [[n, m, str(got), str(want), got == want] for n, m, got, want in report.entries]
     params = {**_spec_params(spec), "nmax": args.nmax}
     results = {
@@ -414,13 +427,13 @@ def _build_parser() -> argparse.ArgumentParser:
     for subject, (help_text, handler) in family_subjects.items():
         p = vsub.add_parser(subject, help=help_text)
         _add_family_flags(p)
-        p.add_argument("--nmax", type=int, required=True)
+        p.add_argument("--nmax", type=_nonnegative_int, required=True)
         _add_output_flags(p)
         p.set_defaults(handler=handler)
 
     p = vsub.add_parser("integral-rep", help="integral representation vs direct evaluation")
     _add_family_flags(p)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", type=_nonnegative_int, required=True)
     p.add_argument("--z", type=float, help="evaluation point")
     p.add_argument("--points", type=int, default=None, help="quadrature points override")
     p.add_argument("--tol", type=float, default=1e-10)
@@ -440,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_rational, required=True)
     p.add_argument("--b", type=_rational, required=True)
     p.add_argument("--c", type=_rational, required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", type=_nonnegative_int, required=True)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_verify_psi)
 

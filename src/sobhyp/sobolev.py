@@ -16,6 +16,15 @@ is an exact rational; the quadrature route recomputes it through a Gauss
 rule (float nodes and weights, integrand evaluated exactly at them) and
 exists purely as an independent cross-check.
 
+The exact route is a Gram matrix over the moment Hankel matrix (Gautschi,
+*Orthogonal Polynomials: Computation and Approximation*, 2004, section 2.1).
+With U = D u and V = D v,  <u, v> = sum_{j,k} U_j V_k mu_{j+k}.  Each
+lowered member and the moment sequence are held as integer numerators over
+one common denominator (FLINT's ``fmpq_poly`` layout), so a Hankel row
+v_n = H U_n costs O(N^2) integer operations and each pair after it one
+integer dot product: checking every pair up to degree N costs O(N^3)
+integer operations, one lowering per member and one ``Fraction`` per pair.
+
 Gauss rules come from the Golub-Welsch construction: eigenvalues of the
 Jacobi matrix of the three-term recurrence give the nodes, squared first
 eigenvector components give the weights.  The tridiagonal eigenproblem is
@@ -30,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
+from operator import mul
 
 from .diffop import DiffOp, _weight_and_orders, composed_lowering
 from .exactnum import Poly, as_rational, pochhammer
@@ -116,17 +126,36 @@ def sobolev_form_for(spec: FamilySpec) -> SobolevForm:
     return SobolevForm(weight, composed_lowering(orders))
 
 
-def sobolev_inner_exact(form: SobolevForm, yn: Poly, ym: Poly) -> Fraction:
-    """<yn, ym> as an exact rational.
+def _scaled(values) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
-    The double sum over coefficient pairs collapses to a dot product of the
-    coefficient convolution (a polynomial product) with the moment sequence.
+
+def _gram_rows(form: SobolevForm, ys):
+    """Yield, for each i, the list of <ys[i], ys[j]> over j = 0..i.
+
+    Each member is lowered once and held as integers U_i over one
+    denominator d_i; the moments mu_0..mu_{2 top - 2} (top the longest U_i)
+    are held as integers M over one denominator D.  Row i forms the Hankel
+    product v_i[k] = sum_j U_i[j] M[j + k] once, and every pair in it is
+    then one integer dot product:  <y_i, y_j> = (U_j . v_i) / (d_i d_j D).
     """
-    product = form.dop(yn) * form.dop(ym)
-    return sum(
-        (c * moment(form.weight, k) for k, c in enumerate(product.coeffs)),
-        Fraction(0),
-    )
+    lowered = [_scaled(form.dop(y).coeffs) for y in ys]
+    top = max((len(u) for u, _ in lowered), default=0)
+    mu, mu_den = _scaled([moment(form.weight, k) for k in range(2 * top - 1)])
+    for i, (u, u_den) in enumerate(lowered):
+        v = [sum(map(mul, u, mu[k:])) for k in range(top)]
+        yield [
+            Fraction(sum(map(mul, w, v)), u_den * w_den * mu_den)
+            for w, w_den in lowered[: i + 1]
+        ]
+
+
+def sobolev_inner_exact(form: SobolevForm, yn: Poly, ym: Poly) -> Fraction:
+    """<yn, ym> as an exact rational, by the integer Gram rule of ``_gram_rows``."""
+    *_, last = _gram_rows(form, (ym, yn))
+    return last[0]
 
 
 def a_n_normalized(spec: FamilySpec, n: int) -> Fraction:
@@ -174,15 +203,21 @@ class OrthogonalityReport:
 
 
 def verify_orthogonality(spec: FamilySpec, nmax: int) -> OrthogonalityReport:
-    """Exact check of <y_n, y_m> = delta_{nm} A_n for all 0 <= m <= n <= nmax."""
+    """Exact check of <y_n, y_m> = delta_{nm} A_n for all 0 <= m <= n <= nmax.
+
+    The members y_0..y_nmax are built and lowered once each, and the whole
+    lower triangle of their Gram matrix comes from one integer Hankel
+    product per row (see ``_gram_rows``): O(nmax^3) integer operations and
+    one ``Fraction`` per pair, with no polynomial product per pair.
+    """
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
     form = sobolev_form_for(spec)
+    members = [make_member(spec, n) for n in range(nmax + 1)]
     entries = []
-    for n in range(nmax + 1):
-        yn = make_member(spec, n)
+    for n, row in enumerate(_gram_rows(form, members)):
         diagonal = a_n_normalized(spec, n)
-        for m in range(n + 1):
-            got = sobolev_inner_exact(form, yn, make_member(spec, m))
-            entries.append((n, m, got, diagonal if n == m else Fraction(0)))
+        entries += [(n, m, got, diagonal if n == m else Fraction(0)) for m, got in enumerate(row)]
     return OrthogonalityReport(spec, nmax, tuple(entries))
 
 

@@ -8,6 +8,8 @@ import sys
 import pytest
 
 import sobhyp.sobolev
+from sobhyp.diffop import DiffOp
+from sobhyp.exactnum import Poly
 from sobhyp.cli import main
 
 
@@ -82,27 +84,75 @@ def test_verify_orthogonality_pass(capsys):
     assert all(row[4] is True for row in doc["results"]["rows"])
 
 
-def test_verify_orthogonality_computes_each_pair_once(capsys, monkeypatch):
-    original = sobhyp.sobolev.sobolev_inner_exact
-    calls = []
+def _count_calls(monkeypatch, original, calls, name):
+    """Replace ``original`` at every place it is bound, as the benchmark's
+    tracer does, so a caller importing it by name is counted too."""
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
 
-    # Replace the function at every place it is bound, as the benchmark's
-    # tracer does, so a caller importing it by name is counted too.
-    for name, module in list(sys.modules.items()):
-        if module is not None and (name == "sobhyp" or name.startswith("sobhyp.")):
+    for module_name, module in list(sys.modules.items()):
+        if module is not None and (module_name == "sobhyp" or module_name.startswith("sobhyp.")):
             for key, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, key, counted)
+    return counted
+
+
+def test_verify_orthogonality_lowers_each_member_once(capsys, monkeypatch):
+    calls = []
+    _count_calls(monkeypatch, sobhyp.sobolev.verify_orthogonality, calls, "verify")
+    _count_calls(monkeypatch, sobhyp.sobolev.sobolev_inner_exact, calls, "inner")
+    # DiffOp.__call__ is an alias of DiffOp.apply: patch both names.
+    applied = _count_calls(monkeypatch, DiffOp.apply, calls, "apply")
+    monkeypatch.setattr(DiffOp, "apply", applied)
+    monkeypatch.setattr(DiffOp, "__call__", applied)
     code, doc, _ = run_json(
         capsys, "verify", "orthogonality", "--family", "scriptL",
         "--q", "1/2", "--r", "2", "--nmax", "4",
     )
     assert code == 0
-    assert 0 < len(calls) <= doc["results"]["pairs_checked"] == 15
+    assert doc["results"]["pairs_checked"] == 15
+    assert {name: calls.count(name) for name in ("verify", "inner", "apply")} == {
+        "verify": 1, "inner": 0, "apply": 4 + 1,
+    }
+
+
+@pytest.mark.parametrize("subject,argv", [
+    ("orthogonality", ["--family", "scriptL", "--q", "1", "--r", "2"]),
+    ("ode3", ["--family", "scriptL", "--q", "1", "--r", "2"]),
+    ("pencil", ["--family", "scriptL", "--q", "1", "--r", "2"]),
+    ("recurrence", ["--family", "scriptL", "--q", "1", "--r", "2"]),
+    ("psi", ["--a", "1", "--b", "2", "--c", "3"]),
+    ("integral-rep", ["--family", "scriptL", "--q", "1", "--r", "2", "--z", "0.5"]),
+])
+def test_verify_rejects_negative_nmax(capsys, subject, argv):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", subject, *argv, "--nmax", "-1"])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert "--nmax: must be nonnegative, got -1" in captured.err
+
+
+def test_verify_orthogonality_names_first_failure(capsys, monkeypatch):
+    original = sobhyp.sobolev.make_member
+
+    def perturbed(spec, n):
+        y = original(spec, n)
+        return y + Poly.monomial(5) if n == 3 else y
+
+    monkeypatch.setattr(sobhyp.sobolev, "make_member", perturbed)
+    code, doc, err = run_json(
+        capsys, "verify", "orthogonality", "--family", "scriptL",
+        "--q", "1/2", "--r", "3", "--nmax", "5",
+    )
+    assert code == 1
+    assert doc["results"]["failures"] == 6
+    n, m, got, want, _ = next(row for row in doc["results"]["rows"] if not row[4])
+    assert (n, m) == (3, 0)
+    assert err == f"first failure: <y_3, y_0> = {got}, want {want}\n"
 
 
 def test_verify_orthogonality_bold_p(capsys):

@@ -4,7 +4,9 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import sobhyp.sobolev
 from sobhyp.exactnum import Poly, pochhammer
 from sobhyp.families import bold_l, bold_p, make_member, script_l, script_p
 from sobhyp.diffop import pencil_residual
@@ -107,6 +109,73 @@ def test_orthogonality_report_failures_follow_entries():
     assert report.pairs_checked == 3
     assert report.failures == ((1, 0, F(1, 3), F(0)),)
     assert not report.ok
+
+
+def test_verify_orthogonality_rejects_negative_nmax():
+    with pytest.raises(ValueError, match="nmax must be nonnegative"):
+        verify_orthogonality(script_l(1, 2), -1)
+
+
+def _reference_inner(form, yn, ym):
+    """<yn, ym> computed independently of the Gram route: the product of the
+    two lowered members, dotted with the moments."""
+    product = form.dop(yn) * form.dop(ym)
+    return sum((c * moment(form.weight, k) for k, c in enumerate(product.coeffs)), F(0))
+
+
+_positive = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)
+_orders = st.integers(min_value=1, max_value=3)  # r = 1 lowers by the identity
+
+
+@st.composite
+def _hypergeometric_specs(draw):
+    side = draw(st.sampled_from(["L", "P"]))
+    if draw(st.booleans()):  # script: one slot
+        slot = draw(_orders)
+        return script_l(draw(_positive), slot) if side == "L" else script_p(
+            draw(_positive), draw(_positive), slot)
+    slots = draw(st.lists(_orders, min_size=1, max_size=3))
+    return bold_l(draw(_positive), slots) if side == "L" else bold_p(
+        draw(_positive), draw(_positive), slots)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_hypergeometric_specs(), st.integers(min_value=0, max_value=6))
+def test_gram_entries_match_pairwise_reference(spec, nmax):
+    form = sobolev_form_for(spec)
+    report = verify_orthogonality(spec, nmax)
+    assert [(n, m) for n, m, _, _ in report.entries] == [
+        (n, m) for n in range(nmax + 1) for m in range(n + 1)
+    ]
+    for n, m, got, _ in report.entries:
+        want = _reference_inner(form, make_member(spec, n), make_member(spec, m))
+        assert got == want, (n, m)
+
+
+@pytest.mark.parametrize("spec", [script_l(F(2, 3), 3), bold_p(F(1, 2), 2, [2, 3])])
+def test_inner_exact_matches_reference_on_any_polynomials(spec):
+    form = sobolev_form_for(spec)
+    polys = [Poly(), Poly([1]), Poly([F(1, 2), 0, -3]), Poly([0, F(-2, 7), 5, 0, F(1, 9)])]
+    for u in polys:
+        for v in polys:
+            assert sobolev_inner_exact(form, u, v) == _reference_inner(form, u, v)
+
+
+def test_wrong_member_fails_exactly_its_pairs(monkeypatch):
+    original = sobhyp.sobolev.make_member
+
+    def perturbed(spec, n):
+        # Set the x^5 coefficient of y_3.  A change below degree 5 would stay
+        # orthogonal to y_4 and y_5 and rightly pass those pairs.
+        y = original(spec, n)
+        return y + Poly.monomial(5) if n == 3 else y
+
+    monkeypatch.setattr(sobhyp.sobolev, "make_member", perturbed)
+    report = verify_orthogonality(script_l(F(1, 2), 3), 5)
+    assert not report.ok
+    assert [(n, m) for n, m, _, _ in report.failures] == [
+        (3, 0), (3, 1), (3, 2), (3, 3), (4, 3), (5, 3)
+    ]
 
 
 @pytest.mark.parametrize("spec", [script_l(1, F(3, 2)), bold_p(1, 2, [2, F(5, 2)])])

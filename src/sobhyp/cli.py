@@ -266,6 +266,9 @@ def _cmd_verify_limit(args):
 
 
 def _cmd_verify_psi(args):
+    if args.nmax < 2:
+        # The relations start at n = 2; a shorter range would pass with no rows.
+        raise ValueError(f"psi needs --nmax of at least 2, got {args.nmax}")
     rows = []
     for n in range(2, args.nmax + 1):
         res = psi_consistency(args.a, args.b, args.c, n)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Callable, Sequence
 
@@ -92,10 +93,14 @@ def compose(outer: DiffOp, inner: DiffOp) -> DiffOp:
     return DiffOp(tuple(acc.get(k, Poly()) for k in range(top + 1)))
 
 
-def make_D_xi(r: int) -> DiffOp:
-    """The degree-preserving lowering operator y |-> (x^(r-1) y)^((r-1))."""
+def _check_lowering_index(r) -> None:
     if not isinstance(r, int) or r < 1:
         raise ValueError("the lowering-operator index r must be a positive integer")
+
+
+def make_D_xi(r: int) -> DiffOp:
+    """The degree-preserving lowering operator y |-> (x^(r-1) y)^((r-1))."""
+    _check_lowering_index(r)
     coeffs = []
     for k in range(r):
         dk = Fraction(factorial(r - 1) // factorial(k)) ** 2 / factorial(r - 1 - k)
@@ -123,7 +128,19 @@ def _weight_and_orders(spec: FamilySpec) -> tuple[tuple[Fraction, ...], list[int
 
 
 def composed_lowering(rs: Sequence[int]) -> DiffOp:
-    """Composition D_{r_1} o ... o D_{r_d}; the last index acts first."""
+    """Composition D_{r_1} o ... o D_{r_d}; the last index acts first.
+
+    Each distinct index sequence is composed once and the operator shared,
+    since a DiffOp is immutable; the indices are checked on every call.
+    """
+    rs = tuple(rs)
+    for r in rs:
+        _check_lowering_index(r)
+    return _composed_lowering(rs)
+
+
+@lru_cache(maxsize=None)
+def _composed_lowering(rs: tuple[int, ...]) -> DiffOp:
     op = identity_op()
     for r in rs:
         op = compose(op, make_D_xi(r))

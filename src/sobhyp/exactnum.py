@@ -1,8 +1,14 @@
 """Exact rational scalars and dense univariate polynomials.
 
-A polynomial is a tuple of `fractions.Fraction` coefficients in
-degree-ascending order with trailing zeros stripped, so the zero polynomial
-is the empty tuple and every nonzero polynomial has a nonzero last entry.
+A polynomial is stored as FLINT's ``fmpq_poly`` stores it: a tuple of
+integer numerators in degree-ascending order over one positive integer
+denominator.  The form is canonical -- trailing zeros stripped, the
+numerators and the denominator without a common factor, the zero polynomial
+the empty tuple over 1 -- so two polynomials are equal exactly when their
+fields are.  Arithmetic runs on Python ints and reduces each result once by
+its content, instead of paying a gcd for every coefficient operation as
+``fractions.Fraction`` coefficients would; ``Poly.coeffs`` still presents
+the coefficients as Fractions, built on first use.
 The zero polynomial reports degree ``None`` rather than a numeric sentinel:
 code that tries to do arithmetic with the degree of zero fails loudly
 instead of silently producing an off-by-one.
@@ -14,6 +20,9 @@ constructions keyed on polynomials and operators.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm, perm
+from operator import mul
 from typing import Iterable, Union
 
 __all__ = ["Poly", "Rational", "as_rational", "pochhammer"]
@@ -50,18 +59,40 @@ def pochhammer(c, k: int):
     return out
 
 
+_set = object.__setattr__
+
+
+def _poly(nums: list[int], den: int) -> "Poly":
+    """The Poly with coefficients nums[k] / den (den > 0), in canonical form."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [n // g for n in nums]
+        den //= g
+    p = object.__new__(Poly)
+    _set(p, "nums", tuple(nums))
+    _set(p, "den", den)
+    return p
+
+
 class Poly:
-    """Immutable dense polynomial with exact rational coefficients."""
+    """Immutable dense polynomial with exact rational coefficients.
 
-    __slots__ = ("coeffs",)
+    ``nums`` holds the integer numerators of x^0, x^1, ... and ``den`` their
+    common positive denominator, in the canonical form described in the
+    module docstring; ``coeffs`` gives the same coefficients as Fractions.
+    """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("nums", "den", "_coeffs")
 
-    def __init__(self, coeffs: Iterable[Union[int, str, Fraction]] = ()):
+    nums: tuple[int, ...]
+    den: int
+
+    def __new__(cls, coeffs: Iterable[Union[int, str, Fraction]] = ()):
         cs = [as_rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        return _poly([c.numerator * (den // c.denominator) for c in cs], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -74,76 +105,91 @@ class Poly:
         return cls([0] * k + [coeff])
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, degree-ascending; built on first use."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            den = self.den
+            cs = tuple(Fraction(n, den) for n in self.nums)
+            _set(self, "_coeffs", cs)
+            return cs
+
+    @property
     def degree(self) -> int | None:
         """Degree, or ``None`` for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.nums) - 1 if self.nums else None
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def lead(self) -> Fraction:
         """Leading coefficient; undefined for the zero polynomial."""
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of x**k (zero beyond the stored length)."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.nums):
+            return Fraction(self.nums[k], self.den)
         return Fraction(0)
 
     def _coerce(self, other) -> "Poly | None":
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, Fraction)):
-            return Poly([other])
+            return _poly([other.numerator], other.denominator)
         return None
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        """self + sign * other, over the lcm of the two denominators."""
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        a, b = self.coeffs, q.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        if not q.nums:
+            return self
+        den = lcm(self.den, q.den)
+        sa, sb = den // self.den, sign * (den // q.den)
+        pairs = zip_longest(self.nums, q.nums, fillvalue=0)
+        return _poly([x * sa + y * sb for x, y in pairs], den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return _poly([-n for n in self.nums], self.den)
 
     def __sub__(self, other):
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return self + (-q)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return q + (-self)
+        return q - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
+            p = other.numerator
+            return _poly([n * p for n in self.nums], self.den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+        a, b = self.nums, other.nums
+        if not a or not b:
+            return _poly([], 1)
+        # out[k] = sum_i a[i] b[k - i], one C-level dot product per k over b reversed.
+        lb = len(b)
+        rb = b[::-1]
+        out = [
+            sum(map(mul, a[max(0, k - lb + 1): k + 1], rb[max(0, lb - 1 - k):]))
+            for k in range(len(a) + lb - 1)
+        ]
+        return _poly(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -159,31 +205,49 @@ class Poly:
         """Exact derivative of the given order (order 0 is the identity)."""
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
-        cs = self.coeffs
-        for _ in range(order):
-            cs = tuple(i * c for i, c in enumerate(cs) if i > 0)
-        return Poly(cs)
+        if order == 0:
+            return self
+        nums = self.nums
+        return _poly([perm(i, order) * nums[i] for i in range(order, len(nums))], self.den)
 
     def __call__(self, x):
         """Evaluate by Horner's rule.
 
-        The result type follows the point: Fraction points stay exact,
-        float/complex points give float/complex values, and evaluating at
-        another Poly composes the two polynomials.
+        The result type follows the point.  At an exact point x = p/q (an int
+        or a Fraction) the sum  sum_k nums[k] p^k q^(deg-k)  runs in ints and
+        becomes one Fraction at the end.  At a float or complex point each
+        coefficient is rounded once (``n / den`` rounds as ``float`` of the
+        Fraction does), so the value is bit for bit the one that Horner's rule
+        over Fraction coefficients gives.  At another Poly the two compose.
         """
+        nums = self.nums
+        if isinstance(x, (int, Fraction)):
+            p, q = x.numerator, x.denominator
+            terms = reversed(nums)
+            acc, scale = next(terms, 0), 1
+            for n in terms:
+                scale *= q
+                acc = acc * p + n * scale
+            return Fraction(acc, self.den * scale)
+        if isinstance(x, Poly):
+            result = Poly()
+            for n in reversed(nums):
+                result = result * x + n
+            return result * Fraction(1, self.den)
+        den = self.den
         result = 0
-        for c in reversed(self.coeffs):
-            result = result * x + c
+        for n in reversed(nums):
+            result = result * x + n / den
         return result
 
     def __eq__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return self.coeffs == q.coeffs
+        return self.nums == q.nums and self.den == q.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __bool__(self):
         return not self.is_zero

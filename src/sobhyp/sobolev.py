@@ -126,12 +126,6 @@ def sobolev_form_for(spec: FamilySpec) -> SobolevForm:
     return SobolevForm(weight, composed_lowering(orders))
 
 
-def _scaled(values) -> tuple[list[int], int]:
-    """Rationals as integer numerators over their least common denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def _gram_rows(form: SobolevForm, ys):
     """Yield, for each i, the list of <ys[i], ys[j]> over j = 0..i.
 
@@ -141,9 +135,12 @@ def _gram_rows(form: SobolevForm, ys):
     product v_i[k] = sum_j U_i[j] M[j + k] once, and every pair in it is
     then one integer dot product:  <y_i, y_j> = (U_j . v_i) / (d_i d_j D).
     """
-    lowered = [_scaled(form.dop(y).coeffs) for y in ys]
+    lowered = [(u.nums, u.den) for u in map(form.dop, ys)]
     top = max((len(u) for u, _ in lowered), default=0)
-    mu, mu_den = _scaled([moment(form.weight, k) for k in range(2 * top - 1)])
+    # The moments as one Poly's coefficients, to get the same integer layout;
+    # a positive weight has positive moments, so no trailing one is stripped.
+    moments = Poly(moment(form.weight, k) for k in range(2 * top - 1))
+    mu, mu_den = moments.nums, moments.den
     for i, (u, u_den) in enumerate(lowered):
         v = [sum(map(mul, u, mu[k:])) for k in range(top)]
         yield [

@@ -260,6 +260,16 @@ def test_verify_psi_pass(capsys):
     assert all(row[1:5] == ["0", "0", "0", "0"] for row in doc["results"]["rows"])
 
 
+@pytest.mark.parametrize("nmax", ["0", "1"])
+def test_verify_psi_rejects_range_without_rows(capsys, nmax):
+    code, out, err = run_cli(
+        capsys, "verify", "psi", "--a", "1", "--b", "2", "--c", "3", "--nmax", nmax
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: psi needs --nmax of at least 2, got {nmax}\n"
+
+
 def test_table_roots_conjugate_pair(capsys):
     code, doc, _ = run_json(
         capsys, "table", "roots", "--family", "scriptL", "--q", "3", "--r", "3", "--n", "2"

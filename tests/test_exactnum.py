@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic and the rising factorial."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -142,3 +143,117 @@ def test_derivative_product_rule(p, q):
 def test_evaluation_is_a_homomorphism(p, q, x):
     assert (p + q)(x) == p(x) + q(x)
     assert (p * q)(x) == p(x) * q(x)
+
+
+# --- the integer-numerator layout -------------------------------------------
+
+small_ints = st.integers(min_value=-50, max_value=50)
+finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+float_points = finite_floats | st.complex_numbers(
+    max_magnitude=1e3, allow_nan=False, allow_infinity=False
+)
+
+
+def assert_canonical(p):
+    assert type(p.nums) is tuple
+    assert all(type(n) is int for n in p.nums)
+    assert type(p.den) is int and p.den > 0
+    if p.nums:
+        assert p.nums[-1] != 0
+        assert math.gcd(p.den, *p.nums) == 1
+    else:
+        assert p.den == 1
+
+
+def fraction_horner(coeffs, x):
+    """Horner's rule over Fraction coefficients: the reference for evaluation."""
+    result = 0
+    for c in reversed(coeffs):
+        result = result * x + c
+    return result
+
+
+def same_bits(u, v):
+    """Equal type and equal bits, signed zeros included."""
+    bits = [(type(z), complex(z).real.hex(), complex(z).imag.hex()) for z in (u, v)]
+    return bits[0] == bits[1]
+
+
+@given(polys, polys, rationals, small_ints, st.integers(min_value=0, max_value=9))
+def test_every_operation_returns_the_canonical_form(p, q, r, k, order):
+    results = [
+        p, Poly(p.coeffs + (F(0),) * 2), p + q, p - q, -p, r - p, k + p, p * q,
+        p * r, r * p, p * k, p * 0, p ** 2, p.derivative(order), p(q),
+        Poly.monomial(order, r),
+    ]
+    for result in results:
+        assert_canonical(result)
+
+
+@given(polys, polys, polys)
+def test_equal_polynomials_built_by_different_routes_hash_equal(p, q, r):
+    routes = [
+        ((p * q) * r, p * (q * r)),
+        (p + q - q, p),
+        (Poly(p.coeffs), p),
+        ((p + q).derivative(), p.derivative() + q.derivative()),
+    ]
+    for left, right in routes:
+        assert left == right
+        assert hash(left) == hash(right)
+
+
+def test_equal_scalings_hash_equal():
+    half = Poly([F(1, 2), 1])
+    assert half == Poly([1, 2]) * F(1, 2)
+    assert hash(half) == hash(Poly([1, 2]) * F(1, 2))
+    assert (half.nums, half.den) == ((1, 2), 2)
+    assert Poly([F(2, 6), F(4, 6)]) == Poly([1, 2]) * F(1, 3)
+    assert (Poly([3, 6]) * F(1, 3)).den == 1
+    assert (Poly(), Poly().nums, Poly().den) == (Poly([0]), (), 1)
+
+
+@given(polys, rationals | finite_floats.map(F))
+def test_exact_horner_matches_fraction_reference(p, x):
+    got = p(x)
+    assert got == fraction_horner(p.coeffs, x)
+    assert isinstance(got, F)
+
+
+@given(polys, polys)
+def test_composition_matches_fraction_reference(p, q):
+    assert p(q) == fraction_horner(p.coeffs, q)
+
+
+def test_gauss_nodes_evaluate_exactly():
+    from sobhyp.sobolev import gauss_rule, jacobi_weight
+
+    p = Poly([F(1, 3), -7, F(5, 11), 2])
+    for node in gauss_rule(jacobi_weight(1, 2), 8).nodes:
+        assert p(F(node)) == fraction_horner(p.coeffs, F(node))
+
+
+@given(polys, float_points)
+def test_float_and_complex_evaluation_match_fraction_coefficients_bitwise(p, x):
+    assert same_bits(p(x), fraction_horner(p.coeffs, x))
+
+
+def test_float_evaluation_rounds_each_coefficient_once():
+    # 10**400 / 3 and 1 / 10**400 lie outside the float range: the first
+    # overflows and the second underflows exactly as float(Fraction) does.
+    tiny = Poly([1, F(1, 10**400), 3])
+    assert same_bits(tiny(0.75), fraction_horner(tiny.coeffs, 0.75))
+    huge = Poly([F(10**400, 3)])
+    with pytest.raises(OverflowError):
+        fraction_horner(huge.coeffs, 0.5)
+    with pytest.raises(OverflowError):
+        huge(0.5)
+
+
+@given(polys)
+def test_coeffs_are_a_cached_tuple_of_fractions(p):
+    cs = p.coeffs
+    assert type(cs) is tuple
+    assert all(type(c) is F for c in cs)
+    assert cs == tuple(F(n, p.den) for n in p.nums)
+    assert p.coeffs is cs

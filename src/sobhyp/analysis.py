@@ -65,7 +65,9 @@ def _monic_coeffs(p: Union[Poly, Sequence]) -> list[complex]:
     if isinstance(p, Poly):
         # Stay exact until the division: a leading coefficient such as
         # 1/200! is zero as a float, although the monic coefficients are not.
-        cs = list(p.coeffs)
+        # The common denominator cancels, and an int quotient rounds once.
+        # The sign moves to the numerators so that a zero divides to +0.0.
+        cs = list(p.nums) if not p.nums or p.nums[-1] > 0 else [-n for n in p.nums]
     else:
         cs = [complex(c) for c in p]
         while cs and cs[-1] == 0:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -49,15 +50,21 @@ __all__ = ["main"]
 RATIO_WINDOW = (1.8, 2.2)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _nonnegative_int(text: str) -> int:
@@ -89,9 +96,7 @@ def _rational_range(text: str) -> list[Fraction]:
         raise argparse.ArgumentTypeError(f"grid count must be an integer in {text!r}") from exc
     if count < 1:
         raise argparse.ArgumentTypeError("grid count must be at least 1")
-    if count == 1:
-        return [lo]
-    step = (hi - lo) / (count - 1)
+    step = (hi - lo) / max(count - 1, 1)
     return [lo + i * step for i in range(count)]
 
 
@@ -113,7 +118,8 @@ def _flags(names) -> str:
     return flags[0] if len(flags) == 1 else ", ".join(flags[:-1]) + " and " + flags[-1]
 
 
-def _family_from_args(args, allowed) -> FamilySpec:
+def _family_from_args(args, allowed) -> tuple[FamilySpec, dict]:
+    """The family spec the flags name, and its params record for the document."""
     kind = args.family
     if kind not in allowed:
         raise ValueError(f"family must be one of {', '.join(allowed)} here, got {kind}")
@@ -122,62 +128,59 @@ def _family_from_args(args, allowed) -> FamilySpec:
     if any(v is None for v in values):
         optional = f" (and optionally --{slot})" if slot else ""
         raise ValueError(f"{kind} needs {_flags(heads)}{optional}")
+    params = {"family": kind, **{name: str(v) for name, v in zip(heads, values)}}
     slots = (getattr(args, slot) or []) if slot else []
-    return FamilySpec(kind, (*values, *slots))
-
-
-def _spec_params(spec: FamilySpec) -> dict:
-    """The family and its parameters as the JSON ``params`` record shows them."""
-    heads, slot = _FAMILY_FLAGS[spec.kind]
-    params = {"family": spec.kind, **{name: str(v) for name, v in zip(heads, spec.params)}}
     if slot:
-        params[slot] = [str(p) for p in spec.params[len(heads):]]
-    return params
-
-
-def _document(command: str, params: dict, results: dict, passed: bool) -> dict:
-    return {"command": command, "params": params, "results": results, "pass": passed}
+        params[slot] = [str(v) for v in slots]
+    return FamilySpec(kind, (*values, *slots)), params
 
 
 # --- handlers --------------------------------------------------------------
+#
+# Each handler returns (params, results, passed); ``main`` adds the command
+# name, which it reads from the parse path.
 
 
-def _member_from_args(args, command: str):
-    """The family spec and its member of degree ``--n``, for single-member commands."""
-    spec = _family_from_args(args, _ALL_FAMILIES)
+def _path(args) -> list[str]:
+    """The subcommand names the parser took, e.g. ``["verify", "ode3"]``."""
+    return [getattr(args, dest) for dest in ("command", "subject", "what") if hasattr(args, dest)]
+
+
+def _member_from_args(args):
+    """The member of degree ``--n`` and its params record, for single-member commands."""
+    spec, params = _family_from_args(args, _ALL_FAMILIES)
     if args.n is None:
-        raise ValueError(f"{command} needs --n")
-    return spec, make_member(spec, args.n)
+        raise ValueError(f"{_path(args)[-1]} needs --n")
+    return make_member(spec, args.n), {**params, "n": args.n}
 
 
 def _cmd_coeffs(args):
-    spec, member = _member_from_args(args, "coeffs")
+    member, params = _member_from_args(args)
     coefficients = [str(member.coefficient(k)) for k in range(args.n + 1)]
-    params = {**_spec_params(spec), "n": args.n}
     results = {
         "columns": ["k", "coefficient"],
         "rows": [[k, coefficients[k]] for k in range(args.n + 1)],
         "degree": member.degree,
         "coefficients": coefficients,
     }
-    return _document("coeffs", params, results, True)
+    return params, results, True
 
 
 def _cmd_verify_orthogonality(args):
-    spec = _family_from_args(args, _ALL_FAMILIES)
+    spec, params = _family_from_args(args, _ALL_FAMILIES)
     report = verify_orthogonality(spec, args.nmax)
     if report.failures:
         n, m, got, want = report.failures[0]
         print(f"first failure: <y_{n}, y_{m}> = {got}, want {want}", file=sys.stderr)
     rows = [[n, m, str(got), str(want), got == want] for n, m, got, want in report.entries]
-    params = {**_spec_params(spec), "nmax": args.nmax}
+    params["nmax"] = args.nmax
     results = {
         "columns": ["n", "m", "inner_product", "expected", "ok"],
         "rows": rows,
         "pairs_checked": report.pairs_checked,
         "failures": len(report.failures),
     }
-    return _document("verify orthogonality", params, results, report.ok)
+    return params, results, report.ok
 
 
 def _recurrence_residual(spec: FamilySpec, n: int):
@@ -186,67 +189,62 @@ def _recurrence_residual(spec: FamilySpec, n: int):
     return recurrence_residual_P(*spec.params, n)
 
 
-# Subject -> (help, allowed families, residual(spec, n)) for the verify
-# subjects whose rows are the largest residual coefficient per index.  The
+def _residual_cells(res) -> list:
+    """The largest coefficient of an exact residual, and whether it vanishes."""
+    return [str(Fraction(max(map(abs, res.nums), default=0), res.den)), res.is_zero]
+
+
+def _integral_rep_cells(args, spec: FamilySpec, n: int) -> list:
+    if args.z is None:
+        raise ValueError(f"{args.subject} needs --z (the evaluation point)")
+    try:
+        lhs, rhs = integral_rep_check(spec, n, args.z, args.points)
+    except OverflowError:
+        raise ValueError(f"the member's value at z = {args.z} exceeds the float range") from None
+    err = abs(lhs - rhs)
+    return [lhs, rhs, err, err <= args.tol * max(1.0, abs(lhs))]
+
+
+_RESIDUAL_COLUMNS = ["n", "residual_max_coeff", "ok"]
+
+# Subject -> (help, allowed families, columns, cells(args, spec, n), extra
+# params) for the verify subjects with one row per index n = 0..nmax.  The
 # lambdas look their function up at call time, so a wrapper installed on the
 # module-level name is honoured.
-_RESIDUAL_SUBJECTS = {
-    "ode3": ("third-order differential equation residuals", _SCRIPT_FAMILIES,
-             lambda spec, n: ode3_residual(spec, n)),
-    "pencil": ("operator-pencil eigenfunction residuals", _ALL_FAMILIES,
-               lambda spec, n: pencil_residual(spec, n)),
-    "recurrence": ("five-polynomial recurrence residuals", _SCRIPT_FAMILIES,
-                   _recurrence_residual),
+_INDEX_SUBJECTS = {
+    "ode3": ("third-order differential equation residuals", _SCRIPT_FAMILIES, _RESIDUAL_COLUMNS,
+             lambda args, spec, n: _residual_cells(ode3_residual(spec, n)), ()),
+    "pencil": ("operator-pencil eigenfunction residuals", _ALL_FAMILIES, _RESIDUAL_COLUMNS,
+               lambda args, spec, n: _residual_cells(pencil_residual(spec, n)), ()),
+    "recurrence": ("five-polynomial recurrence residuals", _SCRIPT_FAMILIES, _RESIDUAL_COLUMNS,
+                   lambda args, spec, n: _residual_cells(_recurrence_residual(spec, n)), ()),
+    "integral-rep": ("integral representation vs direct evaluation", _SCRIPT_FAMILIES,
+                     ["n", "direct", "integral", "abs_err", "ok"], _integral_rep_cells,
+                     ("z", "tol")),
 }
 
 
-def _cmd_verify_residuals(args):
-    _, allowed, residual = _RESIDUAL_SUBJECTS[args.subject]
-    spec = _family_from_args(args, allowed)
-    rows = []
-    for n in range(args.nmax + 1):
-        res = residual(spec, n)
-        peak = max((abs(cc) for cc in res.coeffs), default=Fraction(0))
-        rows.append([n, str(peak), res.is_zero])
-    params = {**_spec_params(spec), "nmax": args.nmax}
-    results = {"columns": ["n", "residual_max_coeff", "ok"], "rows": rows}
-    return _document(f"verify {args.subject}", params, results, all(row[-1] for row in rows))
-
-
-def _cmd_verify_integral_rep(args):
-    spec = _family_from_args(args, _SCRIPT_FAMILIES)
-    z = args.z
-    if z is None:
-        raise ValueError("integral-rep needs --z (the evaluation point)")
-    rows = []
-    for n in range(args.nmax + 1):
-        lhs, rhs = integral_rep_check(spec, n, z, args.points)
-        err = abs(lhs - rhs)
-        ok = err <= args.tol * max(1.0, abs(lhs))
-        rows.append([n, lhs, rhs, err, ok])
-    params = {
-        **_spec_params(spec),
-        "nmax": args.nmax,
-        "z": z,
-        "tol": args.tol,
-    }
-    results = {"columns": ["n", "direct", "integral", "abs_err", "ok"], "rows": rows}
-    return _document("verify integral-rep", params, results, all(row[-1] for row in rows))
+def _cmd_verify_indexed(args):
+    _, allowed, columns, cells, extra = _INDEX_SUBJECTS[args.subject]
+    spec, params = _family_from_args(args, allowed)
+    rows = [[n, *cells(args, spec, n)] for n in range(args.nmax + 1)]
+    params.update({"nmax": args.nmax, **{name: getattr(args, name) for name in extra}})
+    return params, {"columns": columns, "rows": rows}, all(row[-1] for row in rows)
 
 
 def _cmd_verify_limit(args):
     x = args.z if args.z is not None else Fraction(1)
     bs = args.b_values or [Fraction(2) ** k for k in range(8, 13)]
-    errors = limit_check(args.q, args.r, args.n, x, bs)
+    try:
+        errors = limit_check(args.q, args.r, args.n, x, bs)
+    except OverflowError:
+        raise ValueError(f"the limit errors at z = {x} exceed the float range") from None
     rows = [[str(b), e] for b, e in zip(bs, errors)]
-    ratios = [
-        errors[i] / errors[i + 1] if errors[i + 1] else None
-        for i in range(len(errors) - 1)
-    ]
     if all(e == 0.0 for e in errors):
         passed = True  # already exact at every tested b
         ratios = []
     else:
+        ratios = [e / e_next if e_next else None for e, e_next in zip(errors, errors[1:])]
         lo, hi = RATIO_WINDOW
         passed = bool(ratios) and all(rr is not None and lo <= rr <= hi for rr in ratios)
     params = {
@@ -262,59 +260,50 @@ def _cmd_verify_limit(args):
         "ratios": ratios,
         "ratio_window": list(RATIO_WINDOW),
     }
-    return _document("verify limit", params, results, passed)
+    return params, results, passed
 
 
 def _cmd_verify_psi(args):
     if args.nmax < 2:
         # The relations start at n = 2; a shorter range would pass with no rows.
-        raise ValueError(f"psi needs --nmax of at least 2, got {args.nmax}")
+        raise ValueError(f"{args.subject} needs --nmax of at least 2, got {args.nmax}")
     rows = []
     for n in range(2, args.nmax + 1):
         res = psi_consistency(args.a, args.b, args.c, n)
         ok = all(v == 0 for v in res)
         rows.append([n, *[str(v) for v in res], ok])
     params = {"a": str(args.a), "b": str(args.b), "c": str(args.c), "nmax": args.nmax}
-    results = {
-        "columns": ["n", "relation1", "relation2", "relation3", "relation4", "ok"],
-        "rows": rows,
-    }
-    return _document("verify psi", params, results, all(row[-1] for row in rows))
+    columns = ["n", "relation1", "relation2", "relation3", "relation4", "ok"]
+    return params, {"columns": columns, "rows": rows}, all(row[-1] for row in rows)
 
 
 def _cmd_table_roots(args):
-    spec, member = _member_from_args(args, "roots")
+    member, params = _member_from_args(args)
     if member.degree is None or member.degree < 1:
-        raise ValueError("roots needs a member of degree at least 1 (n >= 1)")
+        raise ValueError(f"{args.what} needs a member of degree at least 1 (n >= 1)")
     found = roots(member)
     rows = [[i, z.real, z.imag] for i, z in enumerate(found.roots)]
-    params = {**_spec_params(spec), "n": args.n}
     results = {
         "columns": ["index", "real", "imag"],
         "rows": rows,
         "residual_bound": found.residual_bound,
         "iterations": found.iterations,
     }
-    return _document("table roots", params, results, True)
+    return params, results, True
 
 
 def _cmd_table_eval_grid(args):
-    spec, member = _member_from_args(args, "eval-grid")
+    member, params = _member_from_args(args)
     if args.x_range is None:
-        raise ValueError("eval-grid needs --x-range lo:hi:count")
+        raise ValueError(f"{args.what} needs --x-range lo:hi:count")
     rows = []
     for x in args.x_range:
         try:
             rows.append([float(x), float(member(x))])
         except OverflowError:
             raise ValueError(f"the member's value at x = {x} exceeds the float range") from None
-    params = {
-        **_spec_params(spec),
-        "n": args.n,
-        "x_range": [str(x) for x in args.x_range],
-    }
-    results = {"columns": ["x", "value"], "rows": rows}
-    return _document("table eval-grid", params, results, True)
+    params["x_range"] = [str(x) for x in args.x_range]
+    return params, {"columns": ["x", "value"], "rows": rows}, True
 
 
 def _cmd_table_quad_rule(args):
@@ -323,13 +312,12 @@ def _cmd_table_quad_rule(args):
     if any(v is None for v in values):
         raise ValueError(f"{args.weight} weight needs {_flags(names)}")
     if args.points is None:
-        raise ValueError("quad-rule needs --points")
+        raise ValueError(f"{args.what} needs --points")
     rule = gauss_rule(WeightSpec(args.weight, tuple(values)), args.points)
     rows = [[i, x, w] for i, (x, w) in enumerate(zip(rule.nodes, rule.weights))]
     wparams = {name: str(v) for name, v in zip(names, values)}
     params = {"weight": args.weight, **wparams, "points": args.points}
-    results = {"columns": ["index", "node", "weight"], "rows": rows}
-    return _document("table quad-rule", params, results, True)
+    return params, {"columns": ["index", "node", "weight"], "rows": rows}, True
 
 
 def _cmd_table_discriminant_grid(args):
@@ -345,8 +333,7 @@ def _cmd_table_discriminant_grid(args):
         rows.append([*(str(v) for v in point), str(d), (d > 0) - (d < 0)])
     params = {"family": args.family}
     params.update({f"{name}_range": [str(v) for v in grid] for name, grid in zip(names, ranges)})
-    results = {"columns": [*names, "discriminant", "sign"], "rows": rows}
-    return _document("table discriminant-grid", params, results, True)
+    return params, {"columns": [*names, "discriminant", "sign"], "rows": rows}, True
 
 
 # --- rendering -------------------------------------------------------------
@@ -356,7 +343,7 @@ def _cell_text(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return _fmt(value)
+        return format(value, ".17g")
     if value is None:
         return "-"
     if isinstance(value, list):
@@ -391,19 +378,6 @@ def _render(doc: dict, fmt: str) -> str:
 # --- parser ----------------------------------------------------------------
 
 
-def _add_family_flags(p: argparse.ArgumentParser):
-    p.add_argument("--family", required=True, choices=_ALL_FAMILIES)
-    for name in _HEAD_FLAGS:
-        p.add_argument(f"--{name}", type=_rational)
-    p.add_argument("--rs", type=_rational_list, metavar="R1,R2,...")
-    p.add_argument("--cs", type=_rational_list, metavar="C1,C2,...")
-
-
-def _add_output_flags(p: argparse.ArgumentParser):
-    p.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    p.add_argument("--out", metavar="PATH", default=None)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sobhyp",
@@ -411,87 +385,77 @@ def _build_parser() -> argparse.ArgumentParser:
                     "exact coefficients, identity verification, numeric tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    leaves = []
 
-    p = sub.add_parser("coeffs", help="exact coefficients of one family member")
-    _add_family_flags(p)
-    p.add_argument("--n", type=int)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_coeffs)
+    def leaf(group, name, handler, **kwargs) -> argparse.ArgumentParser:
+        p = group.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler)
+        leaves.append(p)
+        return p
+
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", required=True, choices=_ALL_FAMILIES)
+    for name in _HEAD_FLAGS:
+        family.add_argument(f"--{name}", type=_rational)
+    family.add_argument("--rs", type=_rational_list, metavar="R1,R2,...")
+    family.add_argument("--cs", type=_rational_list, metavar="C1,C2,...")
+    member = argparse.ArgumentParser(add_help=False, parents=[family])
+    member.add_argument("--n", type=int)
+    indexed = argparse.ArgumentParser(add_help=False, parents=[family])
+    indexed.add_argument("--nmax", type=_nonnegative_int, required=True)
+
+    leaf(sub, "coeffs", _cmd_coeffs, help="exact coefficients of one family member",
+         parents=[member])
 
     verify = sub.add_parser("verify", help="re-derive identities over an index range")
     vsub = verify.add_subparsers(dest="subject", required=True)
 
-    family_subjects = {
-        "orthogonality": ("exact Sobolev orthogonality with diagonal values",
-                          _cmd_verify_orthogonality),
-        **{subject: (entry[0], _cmd_verify_residuals)
-           for subject, entry in _RESIDUAL_SUBJECTS.items()},
-    }
-    for subject, (help_text, handler) in family_subjects.items():
-        p = vsub.add_parser(subject, help=help_text)
-        _add_family_flags(p)
-        p.add_argument("--nmax", type=_nonnegative_int, required=True)
-        _add_output_flags(p)
-        p.set_defaults(handler=handler)
+    leaf(vsub, "orthogonality", _cmd_verify_orthogonality,
+         help="exact Sobolev orthogonality with diagonal values", parents=[indexed])
+    for subject, entry in _INDEX_SUBJECTS.items():
+        leaf(vsub, subject, _cmd_verify_indexed, help=entry[0], parents=[indexed])
 
-    p = vsub.add_parser("integral-rep", help="integral representation vs direct evaluation")
-    _add_family_flags(p)
-    p.add_argument("--nmax", type=_nonnegative_int, required=True)
-    p.add_argument("--z", type=float, help="evaluation point")
+    p = vsub.choices["integral-rep"]
+    p.add_argument("--z", type=_finite_float, help="evaluation point")
     p.add_argument("--points", type=int, default=None, help="quadrature points override")
     p.add_argument("--tol", type=float, default=1e-10)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_verify_integral_rep)
 
-    p = vsub.add_parser("limit", help="large-b limit of the Jacobi-side family")
+    p = leaf(vsub, "limit", _cmd_verify_limit, help="large-b limit of the Jacobi-side family")
     p.add_argument("--q", type=_rational, required=True)
     p.add_argument("--r", type=_rational, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--z", type=_rational, help="evaluation point (default 1)")
     p.add_argument("--b-values", type=_rational_list, metavar="B1,B2,...")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_verify_limit)
 
-    p = vsub.add_parser("psi", help="scaled-coefficient linear identities")
-    p.add_argument("--a", type=_rational, required=True)
-    p.add_argument("--b", type=_rational, required=True)
-    p.add_argument("--c", type=_rational, required=True)
+    p = leaf(vsub, "psi", _cmd_verify_psi, help="scaled-coefficient linear identities")
+    for name in ("a", "b", "c"):
+        p.add_argument(f"--{name}", type=_rational, required=True)
     p.add_argument("--nmax", type=_nonnegative_int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_verify_psi)
 
     table = sub.add_parser("table", help="numeric data tables")
     tsub = table.add_subparsers(dest="what", required=True)
 
-    p = tsub.add_parser("roots", help="all roots of one member")
-    _add_family_flags(p)
-    p.add_argument("--n", type=int)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_table_roots)
-
-    p = tsub.add_parser("eval-grid", help="member values on an x grid")
-    _add_family_flags(p)
-    p.add_argument("--n", type=int)
+    leaf(tsub, "roots", _cmd_table_roots, help="all roots of one member", parents=[member])
+    p = leaf(tsub, "eval-grid", _cmd_table_eval_grid, help="member values on an x grid",
+             parents=[member])
     p.add_argument("--x-range", type=_rational_range, metavar="LO:HI:COUNT")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_table_eval_grid)
 
-    p = tsub.add_parser("quad-rule", help="Gauss rule nodes and weights")
+    p = leaf(tsub, "quad-rule", _cmd_table_quad_rule, help="Gauss rule nodes and weights")
     p.add_argument("--weight", choices=["laguerre", "jacobi"], required=True)
-    p.add_argument("--q", type=_rational)
-    p.add_argument("--a", type=_rational)
-    p.add_argument("--b", type=_rational)
+    for name in ("q", "a", "b"):
+        p.add_argument(f"--{name}", type=_rational)
     p.add_argument("--points", type=int)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_table_quad_rule)
 
-    p = tsub.add_parser("discriminant-grid", help="degree-2 discriminants over parameter grids")
+    p = leaf(tsub, "discriminant-grid", _cmd_table_discriminant_grid,
+             help="degree-2 discriminants over parameter grids")
     p.add_argument("--family", required=True, choices=_SCRIPT_FAMILIES)
     for name in _HEAD_FLAGS:
         p.add_argument(f"--{name}-range", type=_rational_range, metavar="LO:HI:COUNT")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_table_discriminant_grid)
 
+    # The output flags come last on every leaf, so they close each help screen.
+    for p in leaves:
+        p.add_argument("--format", choices=["text", "csv", "json"], default="text")
+        p.add_argument("--out", metavar="PATH", default=None)
     return parser
 
 
@@ -499,16 +463,21 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        doc = args.handler(args)
+        params, results, passed = args.handler(args)
     except (PoleError, DomainError, ValueError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ConvergenceError) else 2
+    doc = {"command": " ".join(_path(args)), "params": params, "results": results, "pass": passed}
     rendered = _render(doc, args.format)
     if args.out:
-        Path(args.out).write_text(rendered)
+        try:
+            Path(args.out).write_text(rendered)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
-    return 0 if doc["pass"] else 1
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

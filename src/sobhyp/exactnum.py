@@ -97,6 +97,11 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    # Pickle and copy rebuild from the two fields: the default slot-state
+    # restore would go through __setattr__ and fail.
+    def __reduce__(self):
+        return _poly, (list(self.nums), self.den)
+
     @classmethod
     def monomial(cls, k: int, coeff: Union[int, str, Fraction] = 1) -> "Poly":
         """coeff * x**k"""

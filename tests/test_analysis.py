@@ -7,6 +7,7 @@ import pytest
 
 from sobhyp.analysis import (
     RootSet,
+    _monic_coeffs,
     discriminant_L,
     discriminant_P,
     integral_rep_check,
@@ -110,6 +111,23 @@ def test_roots_stop_at_the_first_non_finite_round():
     partial = info.value.partial
     assert len(partial.roots) == 18
     assert partial.iterations == 1
+
+
+@pytest.mark.parametrize("p", [
+    Poly([3, 0, F(1, 7), 0, F(-5, 2)]),  # negative lead over internal zeros
+    Poly([0, F(2, 3), F(-1, 9)]),
+    Poly([F(10**400, 3), 0, F(10**390, 7)]),  # numerators past the float range
+    make_member(script_l(1, 1), 60),  # lead 1/60! with alternating signs
+    -make_member(script_l(3, 3), 24),
+])
+def test_monic_coeffs_match_the_fraction_quotient_bitwise(p):
+    # The numerators over the leading numerator, rounded once, give exactly
+    # the floats of the Fraction quotients: same bits, signed zeros included.
+    want = [complex(c / p.coeffs[-1]) for c in p.coeffs]
+    got = _monic_coeffs(p)
+    assert [(z.real.hex(), z.imag.hex()) for z in got] == [
+        (z.real.hex(), z.imag.hex()) for z in want
+    ]
 
 
 def test_roots_monic_overflow_is_a_value_error():

@@ -1,16 +1,18 @@
 """End-to-end CLI tests: exit codes, JSON schema, determinism, file output."""
 
+import argparse
 import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
 import sobhyp.sobolev
 from sobhyp.diffop import DiffOp
 from sobhyp.exactnum import Poly
-from sobhyp.cli import main
+from sobhyp.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +178,23 @@ def test_verify_ode3_pass(capsys):
     assert all(row[1] == "0" and row[2] is True for row in doc["results"]["rows"])
 
 
+@pytest.mark.parametrize("subject,name", [
+    ("ode3", "ode3_residual"),
+    ("pencil", "pencil_residual"),
+    ("recurrence", "recurrence_residual_L"),
+])
+def test_verify_residual_row_reports_the_largest_coefficient(capsys, monkeypatch, subject, name):
+    # A residual patched onto the module-level name is the one reported: the
+    # subject table looks its function up at call time.
+    residuals = {0: Poly(), 1: Poly([F(1, 6), F(-3, 4), F(1, 2)]), 2: Poly([-7])}
+    monkeypatch.setattr(f"sobhyp.cli.{name}", lambda *args: residuals[args[-1]])
+    code, doc, _ = run_json(
+        capsys, "verify", subject, "--family", "scriptL", "--q", "1", "--r", "2", "--nmax", "2"
+    )
+    assert code == 1
+    assert doc["results"]["rows"] == [[0, "0", True], [1, "3/4", False], [2, "7", False]]
+
+
 def test_verify_ode3_rejects_bold(capsys):
     code, out, err = run_cli(
         capsys, "verify", "ode3", "--family", "boldL", "--q", "1", "--rs", "2,3", "--nmax", "4"
@@ -220,6 +239,36 @@ def test_verify_integral_rep_needs_z(capsys):
     )
     assert code == 2
     assert "--z" in err
+
+
+@pytest.mark.parametrize("z", ["inf", "-inf", "nan"])
+def test_verify_integral_rep_rejects_non_finite_z(capsys, z):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "integral-rep", "--family", "scriptL", "--q", "1", "--r", "2",
+              "--nmax", "2", f"--z={z}"])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert f"argument --z: not a finite number: '{z}'" in captured.err
+
+
+def test_verify_integral_rep_overflow_names_z(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "integral-rep", "--family", "scriptL", "--q", "1", "--r", "2",
+        "--nmax", "2", "--z", "1e308",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: the member's value at z = 1e+308 exceeds the float range\n"
+
+
+def test_verify_limit_overflow_names_z(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "limit", "--q", "2", "--r", "3", "--n", "8", "--z", "1e200"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: the limit errors at z = {10**200} exceed the float range\n"
 
 
 def test_verify_limit_default_b_values(capsys):
@@ -377,6 +426,17 @@ def test_out_writes_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["results"]["coefficients"] == ["1", "-1/2"]
+
+
+def test_out_into_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "doc.txt"
+    code, out, err = run_cli(
+        capsys, "coeffs", "--family", "scriptL", "--q", "1", "--r", "2", "--n", "1",
+        "--out", str(target),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
 def test_missing_family_parameter_exits_2(capsys):
@@ -561,3 +621,53 @@ def test_golden_cases_cover_every_subcommand():
                                   "integral-rep", "limit", "psi")),
         *(("table", w) for w in ("roots", "eval-grid", "quad-rule", "discriminant-grid")),
     }
+
+
+# --- help screens -------------------------------------------------------------
+#
+# SHA-256 of every ``--help`` screen at ``COLUMNS=80``, keyed by the command
+# path.  Python 3.10's argparse titles the flag section "optional arguments:"
+# where later versions print "options:"; the title is normalised to the later
+# form before hashing.  The digests were recorded before the parser was built
+# from shared parents and one output-flag loop.
+
+HELP_SCREENS = {
+    (): "2854ba445d5da1ca77caf47579454aefd8165a8eed26e3eec3ab8a8af6e6b849",
+    ("coeffs",): "94e8e610c5623993237e4cbbf6306187f99bb7c1af3dac698008cc15bd1d59ae",
+    ("verify",): "35ca1a3d707a9406f5028079aac875f6460bc6dac66a5f451aa6463c995035f5",
+    ("table",): "02fa8d0ff7608c29c3672038fd746e13af2d7f762e99e490365cf97e14db953f",
+    ("verify", "orthogonality"): "21efccc8c87aa10580a9723d903c6b54df0d32a53b42be93db9eadf023275397",
+    ("verify", "ode3"): "57a91925b43d4bf52aedd89424d071c4e444a225014d48992eb8eaef10ed5ccd",
+    ("verify", "pencil"): "e97db94674033e9bd5d545b06b07ed3ed50098816ec78a77a35d3a17265212bb",
+    ("verify", "recurrence"): "55fb916cee1bfc6e3cf1a0e01988fad06f9d2e912b424749c13e11060668d68d",
+    ("verify", "integral-rep"): "69a9fd48d4e8236a9b75e2eb283b317e4f0bbb11ec791bb5115fbcb7a1cce89f",
+    ("verify", "limit"): "6047b1d251268f040717ec80dcaf609fda46159dae6271b9a17dbef80ed501be",
+    ("verify", "psi"): "e0dc56562218dd055d150b6ade131dab6223ea34d5259adfbfbac2b53b14565c",
+    ("table", "roots"): "14a66d7e719f24c9f72c41446dcb185cc1e49a3dd2eac56690ac0d6d3021bfe8",
+    ("table", "eval-grid"): "43c9e81e3ac86a0d346fa73a01deee7667cf012159a63f56442b434bb2a3942d",
+    ("table", "quad-rule"): "34cedf46d2967a207ea823a69645cfacf7187b5ca8249834d1c7b41566c5e26f",
+    ("table", "discriminant-grid"): "78102d937a97f3aa8914a816dab05175d57a69ab61838f9528ecf26d558fb25d",
+}
+
+
+@pytest.mark.parametrize("path", sorted(HELP_SCREENS))
+def test_help_screen_bytes(capsys, monkeypatch, path):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main([*path, "--help"])
+    assert info.value.code == 0
+    text = capsys.readouterr().out.replace("\noptional arguments:\n", "\noptions:\n")
+    assert hashlib.sha256(text.encode()).hexdigest() == HELP_SCREENS[path]
+
+
+def _parser_paths(parser, path=()):
+    """The command path of ``parser`` and of every parser below it."""
+    yield path
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _parser_paths(child, (*path, name))
+
+
+def test_help_screens_cover_every_parser():
+    assert set(HELP_SCREENS) == set(_parser_paths(_build_parser()))

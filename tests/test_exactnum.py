@@ -1,6 +1,8 @@
 """Exact polynomial arithmetic and the rising factorial."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -115,6 +117,16 @@ def test_immutability():
 def test_hashable():
     assert hash(Poly([1, 2])) == hash(Poly([1, 2, 0]))
     assert len({Poly([1]), Poly([1]), Poly([2])}) == 2
+
+
+@pytest.mark.parametrize("p", [Poly(), Poly([F(-3, 4)]), Poly([1, F(1, 2), 0, F(-7, 6)])])
+def test_pickle_and_copy_keep_equality_and_hash(p):
+    p.coeffs  # a cached Fraction tuple must not break the round trip
+    for q in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p),
+              copy.deepcopy([p, p])[1]):
+        assert type(q) is Poly
+        assert q == p and hash(q) == hash(p)
+        assert (q.nums, q.den) == (p.nums, p.den)
 
 
 @given(polys, polys, polys)

@@ -7,8 +7,8 @@ set converges together.  Discriminants of the degree-2 members have short
 closed forms whose sign classifies the root pair (real pair / double root /
 conjugate pair).
 
-The two remaining checks compare a family member against an integral of a
-classical polynomial (evaluated by a Gauss rule that is exact for the
+The two remaining checks compare a family member against a beta average of
+its zero-slot member (evaluated by a Gauss rule that is exact for the
 integrand's degree) and against the small-argument limit of the Jacobi-side
 family, whose error decays like 1/b.
 """
@@ -18,20 +18,12 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, pi
+from math import pi
 from typing import Sequence, Union
 
-from .exactnum import Poly, as_rational, pochhammer
+from .exactnum import Poly, as_rational
 from .families import (
-    _LAYOUTS,
-    SCRIPT_L,
-    SCRIPT_P,
-    FamilySpec,
-    laguerre,
-    jacobi_shifted,
-    make_member,
-    script_l,
-    script_p,
+    _LAYOUTS, SCRIPT_L, SCRIPT_P, FamilySpec, bold_l, bold_p, make_member, script_l, script_p
 )
 from .sobolev import ConvergenceError, gauss_rule, jacobi_weight
 
@@ -171,16 +163,17 @@ def integral_rep_check(
 ) -> tuple[float, float]:
     """Evaluate one member two ways: directly, and through its integral form.
 
-    The member equals a beta-type average of a classical polynomial:
+    A one-slot member is a beta average of the zero-slot member y0_n of its
+    family, boldL(q) = 1F1(-n; q; x) or boldP(a, b) = 2F1(-n, n-1+a+b; a; x):
 
-        scriptL(q, r) at z:  (r-1)/C(n+q-1, n) * int_0^1 (1-t)^(r-2) L_n^(q-1)(z t) dt
-        scriptP(a, b, c) at z (|z| < 1):
-            (c-1)/C(n+a-1, n) * int_0^1 (1-t)^(c-2) P_n^(a-1, b-1)(1 - 2 z t) dt.
+        scriptL(q, r) at z:  (r-1) * int_0^1 (1-t)^(r-2) y0_n(z t) dt
+        scriptP(a, b, c) at z (|z| < 1):  the same with the slot c for r.
 
-    The integral is computed with a Gauss rule for the normalized weight
-    (r-1)(1-t)^(r-2) (resp. c), exact for the polynomial integrand, so the
-    two returned floats should agree to rounding error.  Needs r > 1
-    (resp. c > 1) for integrability.
+    The average multiplies x^k by (r-1) int_0^1 (1-t)^(r-2) t^k dt = k!/(r)_k,
+    which is exactly the added (1; r) slot.  It is computed with a Gauss
+    rule for the normalized weight (r-1)(1-t)^(r-2), exact for the
+    polynomial integrand, so the two returned floats should agree to
+    rounding error.  Needs r > 1 (resp. c > 1) for integrability.
     """
     if n < 0:
         raise ValueError("member index must be nonnegative")
@@ -189,28 +182,20 @@ def integral_rep_check(
     *weights, slot = spec.params
     if slot <= 1:
         raise ValueError(f"the integral representation needs {_LAYOUTS[spec.kind].slot} > 1")
-    if spec.kind == SCRIPT_L:
-        classical = make_member(laguerre(weights[0] - 1), n)
-    else:
-        if abs(z) >= 1:
-            raise ValueError("the Jacobi-side representation needs |z| < 1")
-        # The shifted member is P_n^(a-1, b-1)(1 - 2x), so evaluating it at
-        # z*t supplies the argument 1 - 2 z t directly.
-        classical = make_member(jacobi_shifted(weights[0] - 1, weights[1] - 1), n)
-    rule_weight = jacobi_weight(Fraction(1), slot - 1)
-    binom = pochhammer(weights[0], n) / Fraction(factorial(n))
+    if spec.kind == SCRIPT_P and abs(z) >= 1:
+        raise ValueError("the Jacobi-side representation needs |z| < 1")
+    zero_slot = make_member((bold_l if spec.kind == SCRIPT_L else bold_p)(*weights), n)
     if npoints is None:
         npoints = n // 2 + 1
-    rule = gauss_rule(rule_weight, npoints)
+    rule = gauss_rule(jacobi_weight(Fraction(1), slot - 1), npoints)
     # Only the rule is float: both polynomials are evaluated exactly at the
     # binary values of z and of the nodes, so the residual between the two
     # returns reflects the rule's accuracy, not evaluation rounding.
     zf = Fraction(z)
     total = Fraction(0)
     for t, w in zip(rule.nodes, rule.weights):
-        total += Fraction(w) * classical(zf * Fraction(t))
-    direct = float(make_member(spec, n)(zf))
-    return direct, float(total / binom)
+        total += Fraction(w) * zero_slot(zf * Fraction(t))
+    return float(make_member(spec, n)(zf)), float(total)
 
 
 def limit_check(q, r, n: int, x, b_values: Sequence) -> list[float]:

@@ -27,7 +27,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .analysis import discriminant_L, discriminant_P, integral_rep_check, limit_check, roots
 from .diffop import ode3_residual, pencil_residual
@@ -118,6 +117,13 @@ def _flags(names) -> str:
     return flags[0] if len(flags) == 1 else ", ".join(flags[:-1]) + " and " + flags[-1]
 
 
+def _reject_unused(args, label: str, taken, names) -> None:
+    """A usage error for the first flag in ``names`` that was given but is not ``taken``."""
+    for name in names:
+        if name not in taken and getattr(args, name) is not None:
+            raise ValueError(f"{label} does not take --{name.replace('_', '-')}")
+
+
 def _family_from_args(args, allowed) -> tuple[FamilySpec, dict]:
     """The family spec the flags name, and its params record for the document."""
     kind = args.family
@@ -128,6 +134,7 @@ def _family_from_args(args, allowed) -> tuple[FamilySpec, dict]:
     if any(v is None for v in values):
         optional = f" (and optionally --{slot})" if slot else ""
         raise ValueError(f"{kind} needs {_flags(heads)}{optional}")
+    _reject_unused(args, kind, (*heads, slot), (*_HEAD_FLAGS, "rs", "cs"))
     params = {"family": kind, **{name: str(v) for name, v in zip(heads, values)}}
     slots = (getattr(args, slot) or []) if slot else []
     if slot:
@@ -235,6 +242,9 @@ def _cmd_verify_indexed(args):
 def _cmd_verify_limit(args):
     x = args.z if args.z is not None else Fraction(1)
     bs = args.b_values or [Fraction(2) ** k for k in range(8, 13)]
+    if len(bs) < 2:
+        # One error gives no ratio, so the halving law would go untested.
+        raise ValueError(f"{args.subject} needs at least two --b-values, got {len(bs)}")
     try:
         errors = limit_check(args.q, args.r, args.n, x, bs)
     except OverflowError:
@@ -311,6 +321,7 @@ def _cmd_table_quad_rule(args):
     values = [getattr(args, name) for name in names]
     if any(v is None for v in values):
         raise ValueError(f"{args.weight} weight needs {_flags(names)}")
+    _reject_unused(args, f"{args.weight} weight", names, ("q", "a", "b"))
     if args.points is None:
         raise ValueError(f"{args.what} needs --points")
     rule = gauss_rule(WeightSpec(args.weight, tuple(values)), args.points)
@@ -326,6 +337,8 @@ def _cmd_table_discriminant_grid(args):
     if any(grid is None for grid in ranges):
         needs = _flags(f"{name}-range" for name in names)
         raise ValueError(f"{args.family} discriminant grid needs {needs}")
+    _reject_unused(args, args.family, [f"{name}_range" for name in names],
+                   [f"{name}_range" for name in _HEAD_FLAGS])
     discriminant = discriminant_L if args.family == SCRIPT_L else discriminant_P
     rows = []
     for point in itertools.product(*ranges):
@@ -471,7 +484,10 @@ def main(argv=None) -> int:
     rendered = _render(doc, args.format)
     if args.out:
         try:
-            Path(args.out).write_text(rendered)
+            # open() and not pathlib, which drops a trailing separator: a
+            # PATH naming a directory must fail rather than write beside it.
+            with open(args.out, "w") as out:
+                out.write(rendered)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
             return 2

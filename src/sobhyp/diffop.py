@@ -7,9 +7,9 @@ can be checked as literal polynomial equalities.
 
 Two constructions matter downstream:
 
-* ``make_D_xi(r)`` builds the order r-1 degree-preserving operator
-  y  |->  (x^(r-1) y)^((r-1)), expanded into the  sum d_k x^k y^(k)  form
-  with d_k = ((r-1)!/k!)^2 / (r-1-k)!.  For r = 1 it is the identity.
+* ``composed_lowering(rs)`` builds the product of the degree-preserving
+  operators D_r y = (x^(r-1) y)^((r-1)) from their action on monomials;
+  ``make_D_xi(r)`` is the one-factor case, and D_1 is the identity.
 * ``laguerre_operator`` / ``jacobi_operator`` build the classical
   second-order operators together with their eigenvalue maps; the pencil
   residual checks that a lowering-operator image of a family member is an
@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Callable, Sequence
 
-from .exactnum import Poly, as_rational
+from .exactnum import Poly, as_rational, pochhammer
 from .families import _LAYOUTS, SCRIPT_L, SCRIPT_P, FamilySpec, make_member
 
 __all__ = [
@@ -93,22 +93,20 @@ def compose(outer: DiffOp, inner: DiffOp) -> DiffOp:
     return DiffOp(tuple(acc.get(k, Poly()) for k in range(top + 1)))
 
 
-def _check_lowering_index(r) -> None:
-    if not isinstance(r, int) or r < 1:
-        raise ValueError("the lowering-operator index r must be a positive integer")
+def _lowering_orders(values) -> tuple[int, ...]:
+    """The lowering-operator orders, each checked to be a positive integer."""
+    for v in values:
+        if not isinstance(v, (int, Fraction)) or v.denominator != 1 or v < 1:
+            raise ValueError(f"lowering-operator index must be a positive integer, got {v}")
+    return tuple(int(v) for v in values)
 
 
 def make_D_xi(r: int) -> DiffOp:
     """The degree-preserving lowering operator y |-> (x^(r-1) y)^((r-1))."""
-    _check_lowering_index(r)
-    coeffs = []
-    for k in range(r):
-        dk = Fraction(factorial(r - 1) // factorial(k)) ** 2 / factorial(r - 1 - k)
-        coeffs.append(Poly.monomial(k, dk))
-    return DiffOp(tuple(coeffs))
+    return composed_lowering((r,))
 
 
-def _weight_and_orders(spec: FamilySpec) -> tuple[tuple[Fraction, ...], list[int]]:
+def _weight_and_orders(spec: FamilySpec) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
     """Split a hypergeometric spec into its weight parameters and lowering orders.
 
     The weight parameters are (q,) on the Laguerre side and (a, b) on the
@@ -119,32 +117,30 @@ def _weight_and_orders(spec: FamilySpec) -> tuple[tuple[Fraction, ...], list[int
     if layout is None:
         raise ValueError(f"no lowering operator for family kind {spec.kind!r}")
     head = len(layout.weights)
-    orders = []
-    for v in spec.params[head:]:
-        if v.denominator != 1 or v < 1:
-            raise ValueError(f"lowering-operator index must be a positive integer, got {v}")
-        orders.append(int(v))
-    return spec.params[:head], orders
+    return spec.params[:head], _lowering_orders(spec.params[head:])
 
 
 def composed_lowering(rs: Sequence[int]) -> DiffOp:
-    """Composition D_{r_1} o ... o D_{r_d}; the last index acts first.
+    """The composition of D_r over the orders ``rs``; the D_r commute.
 
-    Each distinct index sequence is composed once and the operator shared,
-    since a DiffOp is immutable; the indices are checked on every call.
+    Each D_r is diagonal on monomials, D_r x^k = (k+1)_(r-1) x^k, so the
+    composition scales x^k by lam(k) = prod_r (k+1)_(r-1).  As x^m d^m maps
+    x^k to k!/(k-m)! x^k, its coefficients are (Delta^m lam)(0)/m! x^m.
+    Each order tuple is built once and the operator shared.
     """
-    rs = tuple(rs)
-    for r in rs:
-        _check_lowering_index(r)
-    return _composed_lowering(rs)
+    return _composed_lowering(_lowering_orders(tuple(rs)))
 
 
 @lru_cache(maxsize=None)
-def _composed_lowering(rs: tuple[int, ...]) -> DiffOp:
-    op = identity_op()
-    for r in rs:
-        op = compose(op, make_D_xi(r))
-    return op
+def _composed_lowering(orders: tuple[int, ...]) -> DiffOp:
+    top = sum(orders) - len(orders)
+    # diffs[k] = (Delta^m lam)(k) at step m; lam has degree top, so k <= top suffices.
+    diffs = [prod(pochhammer(k + 1, r - 1) for r in orders) for k in range(top + 1)]
+    coeffs = []
+    for m in range(top + 1):
+        coeffs.append(Poly.monomial(m, Fraction(diffs[0], factorial(m))))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return DiffOp(tuple(coeffs))
 
 
 def laguerre_operator(q) -> tuple[DiffOp, Callable[[int], Fraction]]:
@@ -177,29 +173,22 @@ def pencil_residual(spec: FamilySpec, n: int) -> Poly:
 def ode3_residual(spec: FamilySpec, n: int) -> Poly:
     """Residual of the third-order equation satisfied by the degree-n member.
 
-    For scriptL(q, r):
-        x^2 y''' + (q+r+1-x) x y'' + (qr - 2x) y' + n (x y' + y) = 0
-    and for scriptP(a, b, c):
+    For scriptL(q, r), with lam = n:
+        x^2 y''' + (q+r+1-x) x y'' + (qr - 2x) y' + lam (x y' + y) = 0
+    and for scriptP(a, b, c), with lam = n(n+a+b-1):
         (1-x) x^2 y''' + (a+c+1 - (a+b+3)x) x y'' + (ac - 2(a+b)x) y'
-            + n(n+a+b-1) (x y' + y) = 0.
+            + lam (x y' + y) = 0.
+    The residual is one DiffOp applied to the member, with lam (x y' + y)
+    folded into the coefficients of y and y'.
     """
-    y = make_member(spec, n)
-    d1, d2, d3 = y.derivative(), y.derivative(2), y.derivative(3)
-    x = Poly.monomial(1)
     if spec.kind == SCRIPT_L:
         q, r = spec.params
-        return (
-            Poly.monomial(2) * d3
-            + Poly([0, q + r + 1, -1]) * d2
-            + Poly([q * r, -2]) * d1
-            + n * (x * d1 + y)
-        )
-    if spec.kind == SCRIPT_P:
+        lam = n
+        coeffs = [[q * r, lam - 2], [0, q + r + 1, -1], [0, 0, 1]]
+    elif spec.kind == SCRIPT_P:
         a, b, c = spec.params
-        return (
-            Poly([0, 0, 1, -1]) * d3
-            + Poly([0, a + c + 1, -(a + b + 3)]) * d2
-            + Poly([a * c, -2 * (a + b)]) * d1
-            + (n * (n + a + b - 1)) * (x * d1 + y)
-        )
-    raise ValueError(f"no third-order equation for family kind {spec.kind!r}")
+        lam = n * (n + a + b - 1)
+        coeffs = [[a * c, lam - 2 * (a + b)], [0, a + c + 1, -(a + b + 3)], [0, 0, 1, -1]]
+    else:
+        raise ValueError(f"no third-order equation for family kind {spec.kind!r}")
+    return DiffOp((Poly([lam]), *map(Poly, coeffs)))(make_member(spec, n))

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -299,6 +300,16 @@ def test_verify_limit_failure_exits_1(capsys):
     assert doc["results"]["rows"][1][1] == pytest.approx(1 / 6, rel=1e-15)
 
 
+def test_verify_limit_needs_two_b_values(capsys):
+    # One b value gives no error ratio, so nothing about the halving is tested.
+    code, out, err = run_cli(
+        capsys, "verify", "limit", "--q", "2", "--r", "3", "--n", "4", "--b-values", "256"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: limit needs at least two --b-values, got 1\n"
+
+
 def test_verify_psi_pass(capsys):
     code, doc, _ = run_json(
         capsys, "verify", "psi", "--a", "1", "--b", "2", "--c", "3", "--nmax", "6"
@@ -437,6 +448,50 @@ def test_out_into_missing_directory_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("name", ["sub", "existing"])
+def test_out_ending_in_a_separator_exits_2(tmp_path, capsys, name):
+    (tmp_path / "existing").mkdir()
+    target = str(tmp_path / name) + os.sep
+    code, out, err = run_cli(
+        capsys, "coeffs", "--family", "scriptL", "--q", "1", "--r", "2", "--n", "1",
+        "--out", target,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing"]
+    assert not any((tmp_path / "existing").iterdir())
+
+
+@pytest.mark.parametrize("argv,label,flag", [
+    (["verify", "orthogonality", "--family", "boldL", "--q", "1", "--rs", "2", "--r", "3",
+      "--nmax", "2"], "boldL", "--r"),
+    (["verify", "pencil", "--family", "boldL", "--q", "1", "--cs", "2", "--nmax", "2"],
+     "boldL", "--cs"),
+    (["verify", "ode3", "--family", "scriptL", "--q", "1", "--r", "2", "--rs", "3",
+      "--nmax", "2"], "scriptL", "--rs"),
+    (["coeffs", "--family", "scriptL", "--q", "1", "--r", "2", "--c", "3", "--n", "2"],
+     "scriptL", "--c"),
+    (["table", "roots", "--family", "scriptP", "--a", "1", "--b", "2", "--c", "3",
+      "--cs", "2", "--n", "2"], "scriptP", "--cs"),
+    (["table", "eval-grid", "--family", "boldP", "--a", "1", "--b", "2", "--q", "2",
+      "--n", "2", "--x-range", "0:1:2"], "boldP", "--q"),
+    (["table", "discriminant-grid", "--family", "scriptL", "--q-range", "1:2:2",
+      "--r-range", "1:2:2", "--a-range", "1:2:2"], "scriptL", "--a-range"),
+    (["table", "quad-rule", "--weight", "laguerre", "--q", "1", "--a", "2", "--points", "2"],
+     "laguerre weight", "--a"),
+    (["table", "quad-rule", "--weight", "laguerre", "--q", "1", "--b", "2", "--points", "2"],
+     "laguerre weight", "--b"),
+    (["table", "quad-rule", "--weight", "jacobi", "--a", "1", "--b", "2", "--q", "2",
+      "--points", "2"], "jacobi weight", "--q"),
+])
+def test_flag_not_taken_by_the_family_or_weight_exits_2(capsys, argv, label, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {label} does not take {flag}\n"
 
 
 def test_missing_family_parameter_exits_2(capsys):

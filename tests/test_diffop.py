@@ -1,5 +1,6 @@
 """Differential operators: application, composition, lowering, pencils, ODEs."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -96,6 +97,28 @@ def test_composed_lowering_application_order():
     y = make_member(bold_l(1, [2, 3]), 4)
     nested = make_D_xi(2)(make_D_xi(3)(y))
     assert composed_lowering([2, 3])(y) == nested
+
+
+def _lowering_by_leibniz(rs):
+    """D_{r_1} o ... o D_{r_d} from D_r y = (x^(r-1) y)^((r-1)), by ``compose``."""
+    op = identity_op()
+    for r in rs:
+        derivative = DiffOp((*[Poly()] * (r - 1), Poly([1])))
+        op = compose(op, compose(derivative, DiffOp((Poly.monomial(r - 1),))))
+    return op
+
+
+@pytest.mark.parametrize("length", range(4))
+def test_composed_lowering_matches_the_compose_chain(length):
+    for rs in itertools.product(range(1, 6), repeat=length):
+        op = composed_lowering(rs)
+        assert op == _lowering_by_leibniz(rs), rs
+        assert composed_lowering(rs[::-1]) == op, rs
+
+
+def test_composed_lowering_is_built_once_per_order_tuple():
+    assert composed_lowering([2, 3]) is composed_lowering((2, 3))
+    assert make_D_xi(4) is composed_lowering([4])
 
 
 def test_lowered_script_l_is_a_laguerre_polynomial():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import sobhyp.sobolev
 from sobhyp.exactnum import Poly, pochhammer
 from sobhyp.families import bold_l, bold_p, make_member, script_l, script_p
-from sobhyp.diffop import pencil_residual
+from sobhyp.diffop import composed_lowering, make_D_xi, pencil_residual
 from sobhyp.sobolev import (
     OrthogonalityReport,
     QuadRule,
@@ -187,6 +187,11 @@ def test_non_integer_order_rejected_with_one_message(spec):
         messages.append(str(info.value))
     assert len(set(messages)) == 1, messages
     assert "positive integer" in messages[0]
+    # The operator builders share the validator, so a zero order reads the same.
+    for check in (lambda: make_D_xi(0), lambda: composed_lowering([2, 0])):
+        with pytest.raises(ValueError) as info:
+            check()
+        assert str(info.value) == messages[0].replace(str(spec.params[-1]), "0")
 
 
 def test_exact_inner_product_values():

@@ -25,7 +25,7 @@ from .exactnum import Poly, as_rational
 from .families import (
     _LAYOUTS, SCRIPT_L, SCRIPT_P, FamilySpec, bold_l, bold_p, make_member, script_l, script_p
 )
-from .sobolev import ConvergenceError, gauss_rule, jacobi_weight
+from .sobolev import ConvergenceError, _exact_rule_sum, gauss_rule, jacobi_weight
 
 __all__ = [
     "RootSet",
@@ -192,10 +192,7 @@ def integral_rep_check(
     # binary values of z and of the nodes, so the residual between the two
     # returns reflects the rule's accuracy, not evaluation rounding.
     zf = Fraction(z)
-    total = Fraction(0)
-    for t, w in zip(rule.nodes, rule.weights):
-        total += Fraction(w) * zero_slot(zf * Fraction(t))
-    return float(make_member(spec, n)(zf)), float(total)
+    return float(make_member(spec, n)(zf)), _exact_rule_sum(rule, lambda t: zero_slot(zf * t))
 
 
 def limit_check(q, r, n: int, x, b_values: Sequence) -> list[float]:

@@ -66,6 +66,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return value
+
+
 def _nonnegative_int(text: str) -> int:
     try:
         value = int(text)
@@ -431,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = vsub.choices["integral-rep"]
     p.add_argument("--z", type=_finite_float, help="evaluation point")
     p.add_argument("--points", type=int, default=None, help="quadrature points override")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_nonnegative_float, default=1e-10)
 
     p = leaf(vsub, "limit", _cmd_verify_limit, help="large-b limit of the Jacobi-side family")
     p.add_argument("--q", type=_rational, required=True)

@@ -11,10 +11,14 @@ come from one multiplicative update per step and stay exact.  The families:
   boldL(q, r) = 2F2(-n, 1; q, r; x) and boldP(a, b, c) = 3F2(-n, n-1+a+b, 1; a, c; x)
 * ``laguerre(alpha)``, ``jacobi(alpha, beta)``, ``jacobi_shifted(alpha, beta)``
   -- the classical polynomials with their conventional binomial prefactor;
-  the shifted Jacobi variant is P_n^(alpha,beta)(1 - 2x) on [0, 1].
+  the shifted Jacobi variant is P_n^(alpha,beta)(1 - 2x) on [0, 1].  Each
+  is a scaled zero-slot bold member: laguerre(alpha) is (alpha+1)_n/n! times
+  boldL(alpha+1), jacobi_shifted(alpha, beta) is (alpha+1)_n/n! times
+  boldP(alpha+1, beta+1), and jacobi is jacobi_shifted at (1 - t)/2.
 
-Exact members are built over Fraction parameters; a parallel float path
-exists for parameters that are only available approximately.
+Every member is built by the one exact series over Fraction parameters.
+Float parameters take the same route at their binary values (a finite float
+is a dyadic rational), and only the resulting coefficients are rounded.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, isfinite, prod
 from typing import Sequence
 
 from .exactnum import Poly, as_rational, pochhammer
@@ -63,7 +67,9 @@ _LAYOUTS = {
     BOLD_L: _Layout(("q",), "rs", None),
     BOLD_P: _Layout(("a", "b"), "cs", None),
 }
-_CLASSICAL_COUNTS = {LAGUERRE: 1, JACOBI: 2, JACOBI_SHIFTED: 2}
+# Classical kind -> the bold kind whose zero-slot member, at the parameters
+# plus one, it scales (jacobi through jacobi_shifted); see the module docstring.
+_CLASSICAL = {LAGUERRE: BOLD_L, JACOBI: BOLD_P, JACOBI_SHIFTED: BOLD_P}
 
 
 class PoleError(ValueError):
@@ -78,30 +84,23 @@ class FamilySpec:
     params: tuple[Fraction, ...]
 
     def __post_init__(self):
+        """Reject an unknown kind, a wrong parameter count or a parameter out of range."""
         params = tuple(as_rational(p) for p in self.params)
         object.__setattr__(self, "params", params)
-        _check_params(self.kind, params)
-
-
-def _check_params(kind: str, params: Sequence) -> None:
-    """Reject an unknown kind, a wrong parameter count or a parameter out of range."""
-    layout = _LAYOUTS.get(kind)
-    if layout is not None:
-        low = len(layout.weights) + (layout.slots or 0)
-        exact = layout.slots is not None
-    elif kind in _CLASSICAL_COUNTS:
-        low, exact = _CLASSICAL_COUNTS[kind], True
-    else:
-        raise ValueError(f"unknown family kind {kind!r}")
-    if exact and len(params) != low:
-        raise ValueError(f"{kind} takes exactly {low} parameters, got {len(params)}")
-    if len(params) < low:
-        raise ValueError(f"{kind} takes at least {low} parameters, got {len(params)}")
-    if layout is not None:
-        if any(p <= 0 for p in params):
+        kind, bold = self.kind, _CLASSICAL.get(self.kind)
+        layout = _LAYOUTS.get(bold or kind)
+        if layout is None:
+            raise ValueError(f"unknown family kind {kind!r}")
+        slots = 0 if bold else layout.slots  # a classical kind: the weights alone
+        low = len(layout.weights) + (slots or 0)
+        if slots is not None and len(params) != low:
+            raise ValueError(f"{kind} takes exactly {low} parameters, got {len(params)}")
+        if len(params) < low:
+            raise ValueError(f"{kind} takes at least {low} parameters, got {len(params)}")
+        if bold and any(p <= -1 for p in params):
+            raise ValueError(f"{kind} parameters must be greater than -1")
+        if not bold and any(p <= 0 for p in params):
             raise ValueError(f"{kind} parameters must be strictly positive")
-    elif any(p <= -1 for p in params):
-        raise ValueError(f"{kind} parameters must be greater than -1")
 
 
 def script_l(q, r) -> FamilySpec:
@@ -154,61 +153,44 @@ def terminating_series(upper: Sequence, lower: Sequence, n: int) -> Poly:
     for v in low:
         if v.denominator == 1 and 1 - n <= v <= 0:
             raise PoleError(f"lower parameter {v} is a pole within {n} terms")
-    return Poly(_series_terms(Fraction(1), up, low, n))
-
-
-def _series_terms(term, upper: Sequence, lower: Sequence, n: int) -> list:
-    """Coefficients of x^0..x^n of the series whose constant term is ``term``.
-
-    Each term is the previous one times prod (u + k) / ((k + 1) prod (l + k));
-    the scalar type of ``term`` decides the arithmetic, so the exact and the
-    float construction paths share this one loop.
-    """
+    term = Fraction(1)
     coeffs = [term]
     for k in range(n):
         num = 1
-        for u in upper:
+        for u in up:
             num *= u + k
         den = k + 1
-        for v in lower:
+        for v in low:
             den *= v + k
         term = term * num / den
         coeffs.append(term)
-    return coeffs
-
-
-def _series_parameters(kind: str, params: Sequence, n: int):
-    """Prefactor and upper/lower parameter tuples for one degree-n member.
-
-    Shared between the exact and float construction paths; the scalar type
-    of ``params`` decides the arithmetic.
-    """
-    layout = _LAYOUTS.get(kind)
-    if layout is not None and len(layout.weights) == 1:
-        q, *rs = params
-        return 1, (-n, *([1] * len(rs))), (q, *rs)
-    if layout is not None:
-        a, b, *cs = params
-        return 1, (-n, n - 1 + a + b, *([1] * len(cs))), (a, *cs)
-    if kind in (LAGUERRE, JACOBI_SHIFTED):
-        alpha = params[0]
-        pref = pochhammer(alpha + 1, n) / factorial(n) if n else 1
-        upper = (-n,) if kind == LAGUERRE else (-n, n + alpha + params[1] + 1)
-        return pref, upper, (alpha + 1,)
-    raise ValueError(f"no hypergeometric data for kind {kind!r}")
+    return Poly(coeffs)
 
 
 @lru_cache(maxsize=None)
 def make_member(spec: FamilySpec, n: int) -> Poly:
     """The degree-n member of the family, with exact coefficients."""
+    return _member(spec, n)
+
+
+def _member(spec: FamilySpec, n: int) -> Poly:
+    # Uncached, so the cache keeps only the members asked for: not the bold
+    # or shifted member a classical one is built from, nor a float path's.
     if n < 0:
         raise ValueError("member index must be nonnegative")
     if spec.kind == JACOBI:
-        # P_n^(alpha,beta)(t) = [shifted member](( 1 - t) / 2), expanded exactly.
-        shifted = make_member(FamilySpec(JACOBI_SHIFTED, spec.params), n)
+        # P_n^(alpha,beta)(t) = [shifted member]((1 - t) / 2), expanded exactly.
+        shifted = _member(FamilySpec(JACOBI_SHIFTED, spec.params), n)
         return shifted(Poly([Fraction(1, 2), Fraction(-1, 2)]))
-    pref, up, low = _series_parameters(spec.kind, spec.params, n)
-    return terminating_series(up, low, n) * as_rational(pref)
+    bold = _CLASSICAL.get(spec.kind)
+    if bold is not None:
+        zero_slot = _member(FamilySpec(bold, tuple(p + 1 for p in spec.params)), n)
+        return zero_slot * Fraction(pochhammer(spec.params[0] + 1, n), factorial(n))
+    if len(_LAYOUTS[spec.kind].weights) == 1:
+        q, *rs = spec.params
+        return terminating_series((-n, *([1] * len(rs))), (q, *rs), n)
+    a, b, *cs = spec.params
+    return terminating_series((-n, n - 1 + a + b, *([1] * len(cs))), (a, *cs), n)
 
 
 def leading_coefficient(spec: FamilySpec, n: int) -> Fraction:
@@ -241,26 +223,20 @@ def leading_coefficient(spec: FamilySpec, n: int) -> Fraction:
 
 
 def member_coeffs_float(kind: str, params: Sequence[float], n: int) -> list[float]:
-    """Degree-n member coefficients in float arithmetic.
+    """Degree-n member coefficients as floats, each correctly rounded.
 
-    The float twin of :func:`make_member`, for parameters that are not
-    exactly representable (irrational weights, fitted values).  Validation
-    mirrors the exact path.
+    For parameters that are only known as floats (irrational weights, fitted
+    values).  Each float enters at its exact binary value, the member is
+    built as :func:`make_member` builds it (but not cached), and only its
+    coefficients are rounded, once each.
+    Validation is ``FamilySpec``'s; a NaN or infinite parameter, or a
+    coefficient beyond the float range, raises ValueError.
     """
-    if n < 0:
-        raise ValueError("member index must be nonnegative")
     ps = [float(p) for p in params]
-    _check_params(kind, ps)
-    if kind == JACOBI:
-        inner = member_coeffs_float(JACOBI_SHIFTED, ps, n)
-        # Horner composition with (1 - t)/2 over float list-polynomials.
-        out = [0.0]
-        for c in reversed(inner):
-            prev = out + [0.0]
-            out = [0.5 * prev[i] - (0.5 * prev[i - 1] if i else 0.0) for i in range(len(prev))]
-            out[0] += c
-            while len(out) > 1 and out[-1] == 0.0:
-                out.pop()
-        return out
-    pref, up, low = _series_parameters(kind, ps, n)
-    return _series_terms(float(pref), up, low, n)
+    if not all(map(isfinite, ps)):
+        raise ValueError(f"{kind} parameters must be finite, got {ps}")
+    member = _member(FamilySpec(kind, tuple(map(Fraction, ps))), n)
+    try:
+        return [c / member.den for c in member.nums]
+    except OverflowError:
+        raise ValueError(f"a degree-{n} {kind} coefficient exceeds the float range") from None

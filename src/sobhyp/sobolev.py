@@ -332,6 +332,17 @@ def gauss_rule(weight: WeightSpec, npoints: int) -> QuadRule:
     return QuadRule(weight, tuple(nodes), tuple(weights))
 
 
+def _exact_rule_sum(rule: QuadRule, integrand) -> float:
+    """sum_i w_i f(x_i) over the rule, rounded once.
+
+    Each node and weight enters at its exact binary value, ``integrand``
+    maps an exact point to an exact value, and the sum stays a Fraction
+    until the single rounding at the end.
+    """
+    pairs = zip(rule.nodes, rule.weights)
+    return float(sum(Fraction(w) * integrand(Fraction(x)) for x, w in pairs))
+
+
 def sobolev_inner_quadrature(
     form: SobolevForm, yn: Poly, ym: Poly, npoints: int | None = None
 ) -> float:
@@ -353,9 +364,4 @@ def sobolev_inner_quadrature(
         return 0.0
     if npoints is None:
         npoints = (u.degree + v.degree) // 2 + 1
-    rule = gauss_rule(form.weight, npoints)
-    total = Fraction(0)
-    for x, w in zip(rule.nodes, rule.weights):
-        node = Fraction(x)
-        total += Fraction(w) * u(node) * v(node)
-    return float(total)
+    return _exact_rule_sum(gauss_rule(form.weight, npoints), lambda x: u(x) * v(x))

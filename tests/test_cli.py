@@ -253,6 +253,21 @@ def test_verify_integral_rep_rejects_non_finite_z(capsys, z):
     assert f"argument --z: not a finite number: '{z}'" in captured.err
 
 
+@pytest.mark.parametrize(
+    "tol,message",
+    [("inf", "not a finite number: 'inf'"), ("nan", "not a finite number: 'nan'"),
+     ("-1", "must be nonnegative, got '-1'")],
+)
+def test_verify_integral_rep_rejects_bad_tol(capsys, tol, message):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "integral-rep", "--family", "scriptL", "--q", "1", "--r", "2",
+              "--nmax", "2", "--z", "0.5", f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert f"argument --tol: {message}" in captured.err
+
+
 def test_verify_integral_rep_overflow_names_z(capsys):
     code, out, err = run_cli(
         capsys, "verify", "integral-rep", "--family", "scriptL", "--q", "1", "--r", "2",

@@ -1,8 +1,10 @@
 """Family construction: terminating series, closed-form leads, float twin."""
 
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sobhyp.exactnum import Poly, pochhammer
 from sobhyp.families import (
@@ -191,6 +193,128 @@ def test_float_path_rejects_wrong_parameter_count_like_exact(kind, params):
         member_coeffs_float(kind, [float(p) for p in params], 3)
     assert "parameters, got" in str(exact.value)
     assert str(approx.value) == str(exact.value)
+
+
+def _rounded_exact(kind, params, n):
+    """The exact member at the floats' binary values, each coefficient rounded once."""
+    return [float(c) for c in make_member(FamilySpec(kind, tuple(map(F, params))), n).coeffs]
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("scriptL", [0.1, 2.3]),
+        ("scriptP", [0.7, 0.1, 2.3]),
+        ("boldL", [2.3, 0.7, 0.1]),
+        ("boldP", [0.1, 2.3, 0.7, 0.7]),
+        ("laguerre", [-0.7]),
+        ("jacobi", [0.1, -0.7]),
+        ("jacobi_shifted", [2.3, 0.7]),
+    ],
+)
+def test_float_path_is_the_rounded_exact_member(kind, params):
+    # Non-dyadic floats: the float path is exact at their binary values,
+    # so it must agree bit for bit, not just to a relative tolerance.
+    for n in range(12):
+        assert member_coeffs_float(kind, params, n) == _rounded_exact(kind, params, n), n
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("scriptL", [float("nan"), 2.0]),
+        ("scriptP", [1.0, float("inf"), 2.0]),
+        ("jacobi", [float("inf"), 0.5]),
+        ("laguerre", [float("-inf")]),
+    ],
+)
+def test_float_path_rejects_non_finite_parameters(kind, params):
+    with pytest.raises(ValueError, match=f"{kind} parameters must be finite"):
+        member_coeffs_float(kind, params, 3)
+
+
+def test_float_path_overflow_is_a_value_error():
+    # x^3 has coefficient -1/((q)_3 (r)_3), about -1e600 at q = r = 1e-300.
+    with pytest.raises(ValueError, match="scriptL coefficient exceeds the float range"):
+        member_coeffs_float("scriptL", [1e-300, 1e-300], 3)
+
+
+def test_member_cache_keeps_only_the_members_asked_for():
+    before = make_member.cache_info().currsize
+    member_coeffs_float("jacobi", [0.1, 0.7], 5)
+    assert make_member.cache_info().currsize == before
+    # An exact classical member is cached, its shifted and bold members are not.
+    make_member(jacobi(F(1, 7), F(9, 7)), 5)
+    assert make_member.cache_info().currsize == before + 1
+
+
+# Kind -> (fewest, most) parameters drawn, and the bound each must exceed.
+FLOAT_KINDS = {
+    "scriptL": (2, 2, 0.0), "scriptP": (3, 3, 0.0), "boldL": (1, 3, 0.0), "boldP": (2, 4, 0.0),
+    "laguerre": (1, 1, -1.0), "jacobi": (2, 2, -1.0), "jacobi_shifted": (2, 2, -1.0),
+}
+
+
+@st.composite
+def float_members(draw):
+    kind = draw(st.sampled_from(sorted(FLOAT_KINDS)))
+    low, high, floor = FLOAT_KINDS[kind]
+    ps = st.floats(min_value=floor, max_value=1e6, exclude_min=True)
+    return kind, draw(st.lists(ps, min_size=low, max_size=high)), draw(st.integers(0, 8))
+
+
+@given(float_members())
+def test_float_path_property_rounds_the_exact_member(case):
+    kind, params, n = case
+    try:
+        want = _rounded_exact(kind, params, n)
+    except OverflowError:
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            member_coeffs_float(kind, params, n)
+    else:
+        assert member_coeffs_float(kind, params, n) == want
+
+
+def _gbinom(z, m):
+    """Generalized binomial coefficient C(z, m) for an integer m >= 0."""
+    out = F(1)
+    for i in range(m):
+        out *= z - i
+    return out / factorial(m)
+
+
+def _textbook_jacobi(alpha, beta, n, z):
+    """sum_s C(n+alpha, n-s) C(n+beta, s) ((z-1)/2)^s ((z+1)/2)^(n-s) (Szego 4.3.2)."""
+    down, up = (z - 1) * F(1, 2), (z + 1) * F(1, 2)
+    return sum(
+        (_gbinom(n + alpha, n - s) * _gbinom(n + beta, s) * down**s * up ** (n - s)
+         for s in range(n + 1)),
+        Poly(),
+    )
+
+
+GRID = [F(-1, 2), F(0), F(1, 3), F(2), F(7, 2)]
+
+
+@pytest.mark.parametrize("alpha", GRID)
+def test_laguerre_matches_textbook_sum(alpha):
+    for n in range(13):
+        textbook = Poly(
+            (-1) ** k * _gbinom(n + alpha, n - k) / factorial(k) for k in range(n + 1)
+        )
+        assert make_member(laguerre(alpha), n) == textbook, n
+
+
+@pytest.mark.parametrize("alpha", GRID)
+@pytest.mark.parametrize("beta", GRID)
+def test_jacobi_kinds_match_textbook_sum(alpha, beta):
+    for n in range(13):
+        assert make_member(jacobi(alpha, beta), n) == _textbook_jacobi(
+            alpha, beta, n, Poly([0, 1])
+        ), n
+        assert make_member(jacobi_shifted(alpha, beta), n) == _textbook_jacobi(
+            alpha, beta, n, Poly([1, -2])
+        ), n
 
 
 def test_specs_are_hashable_and_comparable():

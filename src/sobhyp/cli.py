@@ -84,10 +84,10 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _rational_list(text: str) -> list[Fraction]:
-    items = [part for part in text.split(",") if part.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of rationals")
-    return [_rational(part.strip()) for part in items]
+    items = [part.strip() for part in text.split(",")]
+    if not all(items):
+        raise argparse.ArgumentTypeError(f"empty item in the list {text!r}")
+    return [_rational(part) for part in items]
 
 
 def _rational_range(text: str) -> list[Fraction]:
@@ -119,16 +119,22 @@ _HEAD_FLAGS = tuple(dict.fromkeys(name for heads, _ in _FAMILY_FLAGS.values() fo
 
 
 def _flags(names) -> str:
-    """``--a, --b and --c`` for the names a, b, c."""
-    flags = [f"--{name}" for name in names]
+    """``--a, --b and --c`` for the names a, b, c (``--q-range`` for q_range)."""
+    flags = [f"--{name.replace('_', '-')}" for name in names]
     return flags[0] if len(flags) == 1 else ", ".join(flags[:-1]) + " and " + flags[-1]
 
 
-def _reject_unused(args, label: str, taken, names) -> None:
-    """A usage error for the first flag in ``names`` that was given but is not ``taken``."""
-    for name in names:
-        if name not in taken and getattr(args, name) is not None:
-            raise ValueError(f"{label} does not take --{name.replace('_', '-')}")
+def _choice_values(args, label: str, needs, offered, slot=None, needs_label=None) -> list:
+    """The values a --family or --weight choice ``needs``, refusing a missing
+    one and any flag in ``offered`` that is neither needed nor ``slot``."""
+    values = [getattr(args, name) for name in needs]
+    if any(v is None for v in values):
+        optional = f" (and optionally --{slot})" if slot else ""
+        raise ValueError(f"{needs_label or label} needs {_flags(needs)}{optional}")
+    for name in offered:
+        if name not in (*needs, slot) and getattr(args, name) is not None:
+            raise ValueError(f"{label} does not take {_flags([name])}")
+    return values
 
 
 def _family_from_args(args, allowed) -> tuple[FamilySpec, dict]:
@@ -137,11 +143,7 @@ def _family_from_args(args, allowed) -> tuple[FamilySpec, dict]:
     if kind not in allowed:
         raise ValueError(f"family must be one of {', '.join(allowed)} here, got {kind}")
     heads, slot = _FAMILY_FLAGS[kind]
-    values = [getattr(args, name) for name in heads]
-    if any(v is None for v in values):
-        optional = f" (and optionally --{slot})" if slot else ""
-        raise ValueError(f"{kind} needs {_flags(heads)}{optional}")
-    _reject_unused(args, kind, (*heads, slot), (*_HEAD_FLAGS, "rs", "cs"))
+    values = _choice_values(args, kind, heads, (*_HEAD_FLAGS, "rs", "cs"), slot)
     params = {"family": kind, **{name: str(v) for name, v in zip(heads, values)}}
     slots = (getattr(args, slot) or []) if slot else []
     if slot:
@@ -155,16 +157,9 @@ def _family_from_args(args, allowed) -> tuple[FamilySpec, dict]:
 # name, which it reads from the parse path.
 
 
-def _path(args) -> list[str]:
-    """The subcommand names the parser took, e.g. ``["verify", "ode3"]``."""
-    return [getattr(args, dest) for dest in ("command", "subject", "what") if hasattr(args, dest)]
-
-
 def _member_from_args(args):
     """The member of degree ``--n`` and its params record, for single-member commands."""
     spec, params = _family_from_args(args, _ALL_FAMILIES)
-    if args.n is None:
-        raise ValueError(f"{_path(args)[-1]} needs --n")
     return make_member(spec, args.n), {**params, "n": args.n}
 
 
@@ -209,8 +204,6 @@ def _residual_cells(res) -> list:
 
 
 def _integral_rep_cells(args, spec: FamilySpec, n: int) -> list:
-    if args.z is None:
-        raise ValueError(f"{args.subject} needs --z (the evaluation point)")
     try:
         lhs, rhs = integral_rep_check(spec, n, args.z, args.points)
     except OverflowError:
@@ -243,7 +236,16 @@ def _cmd_verify_indexed(args):
     spec, params = _family_from_args(args, allowed)
     rows = [[n, *cells(args, spec, n)] for n in range(args.nmax + 1)]
     params.update({"nmax": args.nmax, **{name: getattr(args, name) for name in extra}})
-    return params, {"columns": columns, "rows": rows}, all(row[-1] for row in rows)
+    return _index_result(args.subject, params, columns, rows)
+
+
+def _index_result(subject: str, params: dict, columns: list, rows: list):
+    """The handler result of a one-row-per-n subject; its first failing row goes to stderr."""
+    failed = next((row for row in rows if not row[-1]), None)
+    if failed is not None:
+        cells = ", ".join(f"{c} = {_cell_text(v)}" for c, v in zip(columns[1:-1], failed[1:-1]))
+        print(f"first failure: {subject} at n = {failed[0]}: {cells}", file=sys.stderr)
+    return params, {"columns": columns, "rows": rows}, failed is None
 
 
 def _cmd_verify_limit(args):
@@ -287,11 +289,10 @@ def _cmd_verify_psi(args):
     rows = []
     for n in range(2, args.nmax + 1):
         res = psi_consistency(args.a, args.b, args.c, n)
-        ok = all(v == 0 for v in res)
-        rows.append([n, *[str(v) for v in res], ok])
+        rows.append([n, *[str(v) for v in res], all(v == 0 for v in res)])
     params = {"a": str(args.a), "b": str(args.b), "c": str(args.c), "nmax": args.nmax}
     columns = ["n", "relation1", "relation2", "relation3", "relation4", "ok"]
-    return params, {"columns": columns, "rows": rows}, all(row[-1] for row in rows)
+    return _index_result(args.subject, params, columns, rows)
 
 
 def _cmd_table_roots(args):
@@ -311,8 +312,6 @@ def _cmd_table_roots(args):
 
 def _cmd_table_eval_grid(args):
     member, params = _member_from_args(args)
-    if args.x_range is None:
-        raise ValueError(f"{args.what} needs --x-range lo:hi:count")
     rows = []
     for x in args.x_range:
         try:
@@ -325,12 +324,7 @@ def _cmd_table_eval_grid(args):
 
 def _cmd_table_quad_rule(args):
     names = ("q",) if args.weight == "laguerre" else ("a", "b")
-    values = [getattr(args, name) for name in names]
-    if any(v is None for v in values):
-        raise ValueError(f"{args.weight} weight needs {_flags(names)}")
-    _reject_unused(args, f"{args.weight} weight", names, ("q", "a", "b"))
-    if args.points is None:
-        raise ValueError(f"{args.what} needs --points")
+    values = _choice_values(args, f"{args.weight} weight", names, ("q", "a", "b"))
     rule = gauss_rule(WeightSpec(args.weight, tuple(values)), args.points)
     rows = [[i, x, w] for i, (x, w) in enumerate(zip(rule.nodes, rule.weights))]
     wparams = {name: str(v) for name, v in zip(names, values)}
@@ -340,12 +334,9 @@ def _cmd_table_quad_rule(args):
 
 def _cmd_table_discriminant_grid(args):
     names = _FAMILY_FLAGS[args.family][0]
-    ranges = [getattr(args, f"{name}_range") for name in names]
-    if any(grid is None for grid in ranges):
-        needs = _flags(f"{name}-range" for name in names)
-        raise ValueError(f"{args.family} discriminant grid needs {needs}")
-    _reject_unused(args, args.family, [f"{name}_range" for name in names],
-                   [f"{name}_range" for name in _HEAD_FLAGS])
+    ranges = _choice_values(args, args.family, [f"{name}_range" for name in names],
+                            [f"{name}_range" for name in _HEAD_FLAGS],
+                            needs_label=f"{args.family} discriminant grid")
     discriminant = discriminant_L if args.family == SCRIPT_L else discriminant_P
     rows = []
     for point in itertools.product(*ranges):
@@ -420,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     family.add_argument("--rs", type=_rational_list, metavar="R1,R2,...")
     family.add_argument("--cs", type=_rational_list, metavar="C1,C2,...")
     member = argparse.ArgumentParser(add_help=False, parents=[family])
-    member.add_argument("--n", type=int)
+    member.add_argument("--n", type=int, required=True)
     indexed = argparse.ArgumentParser(add_help=False, parents=[family])
     indexed.add_argument("--nmax", type=_nonnegative_int, required=True)
 
@@ -436,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
         leaf(vsub, subject, _cmd_verify_indexed, help=entry[0], parents=[indexed])
 
     p = vsub.choices["integral-rep"]
-    p.add_argument("--z", type=_finite_float, help="evaluation point")
+    p.add_argument("--z", type=_finite_float, required=True, help="evaluation point")
     p.add_argument("--points", type=int, default=None, help="quadrature points override")
     p.add_argument("--tol", type=_nonnegative_float, default=1e-10)
 
@@ -458,13 +449,13 @@ def _build_parser() -> argparse.ArgumentParser:
     leaf(tsub, "roots", _cmd_table_roots, help="all roots of one member", parents=[member])
     p = leaf(tsub, "eval-grid", _cmd_table_eval_grid, help="member values on an x grid",
              parents=[member])
-    p.add_argument("--x-range", type=_rational_range, metavar="LO:HI:COUNT")
+    p.add_argument("--x-range", type=_rational_range, required=True, metavar="LO:HI:COUNT")
 
     p = leaf(tsub, "quad-rule", _cmd_table_quad_rule, help="Gauss rule nodes and weights")
     p.add_argument("--weight", choices=["laguerre", "jacobi"], required=True)
     for name in ("q", "a", "b"):
         p.add_argument(f"--{name}", type=_rational)
-    p.add_argument("--points", type=int)
+    p.add_argument("--points", type=int, required=True)
 
     p = leaf(tsub, "discriminant-grid", _cmd_table_discriminant_grid,
              help="degree-2 discriminants over parameter grids")
@@ -487,7 +478,8 @@ def main(argv=None) -> int:
     except (PoleError, DomainError, ValueError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ConvergenceError) else 2
-    doc = {"command": " ".join(_path(args)), "params": params, "results": results, "pass": passed}
+    path = [getattr(args, dest) for dest in ("command", "subject", "what") if hasattr(args, dest)]
+    doc = {"command": " ".join(path), "params": params, "results": results, "pass": passed}
     rendered = _render(doc, args.format)
     if args.out:
         try:

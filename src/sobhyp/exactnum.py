@@ -252,6 +252,9 @@ class Poly:
         return self.nums == q.nums and self.den == q.den
 
     def __hash__(self):
+        # A constant equals its scalar (zero included), so it hashes as one.
+        if len(self.nums) < 2:
+            return hash(Fraction(sum(self.nums), self.den))
         return hash((self.nums, self.den))
 
     def __bool__(self):

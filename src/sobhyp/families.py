@@ -105,34 +105,34 @@ class FamilySpec:
 
 def script_l(q, r) -> FamilySpec:
     """Family 2F2(-n, 1; q, r; x) with q, r > 0."""
-    return FamilySpec(SCRIPT_L, (as_rational(q), as_rational(r)))
+    return FamilySpec(SCRIPT_L, (q, r))
 
 
 def script_p(a, b, c) -> FamilySpec:
     """Family 3F2(-n, n-1+a+b, 1; a, c; x) with a, b, c > 0."""
-    return FamilySpec(SCRIPT_P, (as_rational(a), as_rational(b), as_rational(c)))
+    return FamilySpec(SCRIPT_P, (a, b, c))
 
 
 def bold_l(q, rs: Sequence = ()) -> FamilySpec:
     """Multi-parameter Laguerre-side family; ``rs`` may be empty (plain 1F1)."""
-    return FamilySpec(BOLD_L, (as_rational(q), *(as_rational(r) for r in rs)))
+    return FamilySpec(BOLD_L, (q, *rs))
 
 
 def bold_p(a, b, cs: Sequence = ()) -> FamilySpec:
     """Multi-parameter Jacobi-side family; ``cs`` may be empty (plain 2F1)."""
-    return FamilySpec(BOLD_P, (as_rational(a), as_rational(b), *(as_rational(c) for c in cs)))
+    return FamilySpec(BOLD_P, (a, b, *cs))
 
 
 def laguerre(alpha) -> FamilySpec:
-    return FamilySpec(LAGUERRE, (as_rational(alpha),))
+    return FamilySpec(LAGUERRE, (alpha,))
 
 
 def jacobi(alpha, beta) -> FamilySpec:
-    return FamilySpec(JACOBI, (as_rational(alpha), as_rational(beta)))
+    return FamilySpec(JACOBI, (alpha, beta))
 
 
 def jacobi_shifted(alpha, beta) -> FamilySpec:
-    return FamilySpec(JACOBI_SHIFTED, (as_rational(alpha), as_rational(beta)))
+    return FamilySpec(JACOBI_SHIFTED, (alpha, beta))
 
 
 def terminating_series(upper: Sequence, lower: Sequence, n: int) -> Poly:

@@ -8,10 +8,13 @@ Both families satisfy a five-polynomial relation of the shape
 with members of negative index read as zero.  For the Jacobi-side family
 the coefficients phi_k(n; a, b, c) below take hard-coded values at n = 0, 1
 and rational closed forms for n >= 2; the Laguerre-side coefficients are
-low-degree polynomials in n for every n >= 0.  ``phi4`` is nonzero for all
-positive parameters except on the boundary slices a+b = 1 (n <= 1) and
-a+b = 2 (n = 0), where the relation degenerates to 0 = 0 and cannot be
-solved for the next member; generation raises DomainError there.
+low-degree polynomials in n for every n >= 0.  Every function here takes
+its parameters through ``script_p``/``script_l``, so ``FamilySpec``'s rule
+(a, b, c > 0 and q, r > 0, as in the paper) is the only one; anything else
+raises ValueError.  ``phi4`` is nonzero on that domain except on the
+boundary slices a+b = 1 (n <= 1) and a+b = 2 (n = 0), where the relation
+degenerates to 0 = 0 and cannot be solved for the next member; generation
+raises DomainError there.
 
 A companion scaled system psi_k relates to phi_k by index-shift factors and
 satisfies four short linear identities; ``psi_consistency`` evaluates their
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Poly, as_rational
+from .exactnum import Poly
 from .families import make_member, script_l, script_p
 
 __all__ = [
@@ -66,7 +69,7 @@ class PsiCoeffs:
 
 def phi_P(a, b, c, n: int) -> PhiCoeffs:
     """Recurrence coefficients for the Jacobi-side family at index n."""
-    a, b, c = as_rational(a), as_rational(b), as_rational(c)
+    a, b, c = script_p(a, b, c).params
     if n < 0:
         raise ValueError("recurrence index must be nonnegative")
     s = a + b
@@ -78,10 +81,9 @@ def phi_P(a, b, c, n: int) -> PhiCoeffs:
         phi2 = (s - 1) * (s + 1) * bracket - 3 * a * c * (s + 1) - (a + 1) * (c + 1) * (s - 1) * s
         phi3 = -(s + 1) * (s - 1) * bracket + 3 * a * c * (s + 1)
     else:
+        # Both are positive for n >= 2, since a + b > 0.
         d3 = 2 * n + s - 3
         d4 = 2 * n + s - 4
-        if d3 == 0 or d4 == 0:
-            raise DomainError(f"phi coefficients undefined at n={n} for a+b={s}")
         core = n * (2 * n + a + c - 1) + (a + n) * (c + n)
         phi3 = -(2 * n + s - 1) * (n + s - 2) * (core - 3 * n * (a + n - 1) * (c + n - 1) / d3)
         phi2 = n * (
@@ -100,7 +102,7 @@ def phi_P(a, b, c, n: int) -> PhiCoeffs:
 
 def phi_L(q, r, n: int) -> PhiCoeffs:
     """Recurrence coefficients for the Laguerre-side family at index n."""
-    q, r = as_rational(q), as_rational(r)
+    q, r = script_l(q, r).params
     if n < 0:
         raise ValueError("recurrence index must be nonnegative")
     return PhiCoeffs(
@@ -148,16 +150,15 @@ def generate_P_by_recurrence(a, b, c, N: int) -> list[Poly]:
     the next one; independent of the hypergeometric construction, which is
     what makes coefficientwise agreement with it a meaningful check.
     """
+    a, b, c = script_p(a, b, c).params
     if N < 0:
         raise ValueError("generation length must be nonnegative")
     out = [Poly([1])]
     for n in range(N):
         phi = phi_P(a, b, c, n)
         if phi.phi4 == 0:
-            raise DomainError(
-                f"phi4 vanishes at n={n} (a+b={as_rational(a) + as_rational(b)}); "
-                "the recurrence cannot be solved for the next member"
-            )
+            raise DomainError(f"phi4 vanishes at n={n} (a+b={a + b}); "
+                              "the recurrence cannot be solved for the next member")
         # The residual with y_{n+1} read as zero is every term but phi4 y_{n+1}.
         rest = _five_term_residual(lambda k: out[k] if k <= n else Poly(), phi, n)
         out.append(rest * (Fraction(-1) / phi.phi4))
@@ -166,7 +167,7 @@ def generate_P_by_recurrence(a, b, c, N: int) -> list[Poly]:
 
 def psi_P(a, b, c, n: int) -> PsiCoeffs:
     """The scaled companion coefficients, defined for n >= 2."""
-    a, b, c = as_rational(a), as_rational(b), as_rational(c)
+    a, b, c = script_p(a, b, c).params
     if n < 2:
         raise DomainError("psi coefficients are defined for n >= 2")
     s = a + b
@@ -184,7 +185,8 @@ def psi_P(a, b, c, n: int) -> PsiCoeffs:
 def psi_consistency(a, b, c, n: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Residuals of the four linear identities the psi coefficients satisfy.
 
-    All four are exactly zero for every n >= 2 and positive parameters:
+    All four are exactly zero for every n >= 2 on the family's domain
+    a, b, c > 0; other parameters raise ValueError, as ``script_p`` does:
 
         psi4 (2n+s-1)(2n+s) + psi6 (a+n)(c+n)
         psi3 (2n+s-3)(2n+s-2) + psi4 (2n+s-3)(2n+s-2)(2n+s-1)
@@ -196,7 +198,7 @@ def psi_consistency(a, b, c, n: int) -> tuple[Fraction, Fraction, Fraction, Frac
 
     with s = a + b.
     """
-    a, b, c = as_rational(a), as_rational(b), as_rational(c)
+    a, b, c = script_p(a, b, c).params
     s = a + b
     p = psi_P(a, b, c, n)
     r1 = p.psi4 * (2 * n + s - 1) * (2 * n + s) + p.psi6 * (a + n) * (c + n)

@@ -90,11 +90,11 @@ class WeightSpec:
 
 
 def laguerre_weight(q) -> WeightSpec:
-    return WeightSpec(LAGUERRE_WEIGHT, (as_rational(q),))
+    return WeightSpec(LAGUERRE_WEIGHT, (q,))
 
 
 def jacobi_weight(a, b) -> WeightSpec:
-    return WeightSpec(JACOBI_WEIGHT, (as_rational(a), as_rational(b)))
+    return WeightSpec(JACOBI_WEIGHT, (a, b))
 
 
 @lru_cache(maxsize=None)

@@ -196,6 +196,48 @@ def test_verify_residual_row_reports_the_largest_coefficient(capsys, monkeypatch
     assert doc["results"]["rows"] == [[0, "0", True], [1, "3/4", False], [2, "7", False]]
 
 
+@pytest.mark.parametrize("subject,name", [
+    ("ode3", "ode3_residual"),
+    ("pencil", "pencil_residual"),
+    ("recurrence", "recurrence_residual_L"),
+])
+def test_verify_residual_names_first_failure(capsys, monkeypatch, subject, name):
+    # Indices 1 and 2 fail: stderr names only the first, with its row's value.
+    residuals = {0: Poly(), 1: Poly([F(1, 6), F(-3, 4)]), 2: Poly([-7])}
+    monkeypatch.setattr(f"sobhyp.cli.{name}", lambda *args: residuals[args[-1]])
+    code, out, err = run_cli(
+        capsys, "verify", subject, "--family", "scriptL", "--q", "1", "--r", "2", "--nmax", "2"
+    )
+    assert code == 1
+    assert out.endswith("pass: false\n")
+    assert err == f"first failure: {subject} at n = 1: residual_max_coeff = 3/4\n"
+
+
+def test_verify_integral_rep_names_first_failure(capsys, monkeypatch):
+    values = {0: (2.0, 2.0), 1: (1.0, 1.5), 2: (1.0, 3.0)}
+    monkeypatch.setattr("sobhyp.cli.integral_rep_check", lambda spec, n, z, points: values[n])
+    code, out, err = run_cli(
+        capsys, "verify", "integral-rep", "--family", "scriptL", "--q", "1", "--r", "2",
+        "--nmax", "2", "--z", "1",
+    )
+    assert code == 1
+    assert out.endswith("pass: false\n")
+    assert err == ("first failure: integral-rep at n = 1: "
+                   "direct = 1, integral = 1.5, abs_err = 0.5\n")
+
+
+def test_verify_psi_names_first_failure(capsys, monkeypatch):
+    residuals = {2: (0, 0, 0, 0), 3: (0, F(1, 2), 0, -1), 4: (1, 0, 0, 0)}
+    monkeypatch.setattr("sobhyp.cli.psi_consistency", lambda a, b, c, n: residuals[n])
+    code, doc, err = run_json(
+        capsys, "verify", "psi", "--a", "1", "--b", "2", "--c", "3", "--nmax", "4"
+    )
+    assert code == 1
+    assert [row[-1] for row in doc["results"]["rows"]] == [True, False, False]
+    assert err == ("first failure: psi at n = 3: relation1 = 0, relation2 = 1/2, "
+                   "relation3 = 0, relation4 = -1\n")
+
+
 def test_verify_ode3_rejects_bold(capsys):
     code, out, err = run_cli(
         capsys, "verify", "ode3", "--family", "boldL", "--q", "1", "--rs", "2,3", "--nmax", "4"
@@ -234,12 +276,14 @@ def test_verify_integral_rep_pass(capsys):
 
 
 def test_verify_integral_rep_needs_z(capsys):
-    code, _, err = run_cli(
-        capsys, "verify", "integral-rep", "--family", "scriptL",
-        "--q", "1", "--r", "2", "--nmax", "5",
-    )
-    assert code == 2
-    assert "--z" in err
+    # argparse requires --z, so the usage line and the error both name it.
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "integral-rep", "--family", "scriptL", "--q", "1", "--r", "2",
+              "--nmax", "5"])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert "the following arguments are required: --z" in captured.err
 
 
 @pytest.mark.parametrize("z", ["inf", "-inf", "nan"])
@@ -326,10 +370,10 @@ def test_verify_limit_needs_two_b_values(capsys):
 
 
 def test_verify_psi_pass(capsys):
-    code, doc, _ = run_json(
+    code, doc, err = run_json(
         capsys, "verify", "psi", "--a", "1", "--b", "2", "--c", "3", "--nmax", "6"
     )
-    assert code == 0
+    assert (code, err) == (0, "")
     assert doc["pass"] is True
     assert [row[0] for row in doc["results"]["rows"]] == [2, 3, 4, 5, 6]
     assert all(row[1:5] == ["0", "0", "0", "0"] for row in doc["results"]["rows"])
@@ -343,6 +387,16 @@ def test_verify_psi_rejects_range_without_rows(capsys, nmax):
     assert code == 2
     assert out == ""
     assert err == f"error: psi needs --nmax of at least 2, got {nmax}\n"
+
+
+def test_verify_psi_rejects_nonpositive_parameters(capsys):
+    # The psi relations hold for a, b, c > 0, the rule of the scriptP family.
+    code, out, err = run_cli(
+        capsys, "verify", "psi", "--a", "0", "--b", "1", "--c", "1", "--nmax", "4"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: scriptP parameters must be strictly positive\n"
 
 
 def test_table_roots_conjugate_pair(capsys):
@@ -538,6 +592,38 @@ def test_argparse_rejects_unknown_family():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["coeffs", "--family", "scriptL", "--q", "1", "--r", "2"], "--n"),
+    (["table", "roots", "--family", "scriptL", "--q", "1", "--r", "2"], "--n"),
+    (["table", "eval-grid", "--family", "scriptL", "--q", "1", "--r", "2", "--n", "2"],
+     "--x-range"),
+    (["table", "quad-rule", "--weight", "laguerre", "--q", "1"], "--points"),
+])
+def test_argparse_requires_what_the_command_always_needs(capsys, argv, flag):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: the following arguments are required: {flag}\n")
+
+
+@pytest.mark.parametrize("argv,flag,value", [
+    (["coeffs", "--family", "boldL", "--q", "1", "--rs", "2,,3", "--n", "2"], "--rs", "2,,3"),
+    (["coeffs", "--family", "boldP", "--a", "1", "--b", "2", "--cs", "2,", "--n", "2"],
+     "--cs", "2,"),
+    (["verify", "limit", "--q", "2", "--r", "3", "--n", "4", "--b-values", "256,,512,"],
+     "--b-values", "256,,512,"),
+])
+def test_argparse_rejects_empty_list_item(capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {flag}: empty item in the list {value!r}\n")
+
+
 def test_argparse_rejects_bad_range():
     with pytest.raises(SystemExit) as info:
         main(["table", "eval-grid", "--family", "scriptL", "--q", "1", "--r", "2",
@@ -699,23 +785,27 @@ def test_golden_cases_cover_every_subcommand():
 # path.  Python 3.10's argparse titles the flag section "optional arguments:"
 # where later versions print "options:"; the title is normalised to the later
 # form before hashing.  The digests were recorded before the parser was built
-# from shared parents and one output-flag loop.
+# from shared parents and one output-flag loop; the five screens of commands
+# with a flag they cannot run without (coeffs and table roots: --n, table
+# eval-grid: --n and --x-range, verify integral-rep: --z, table quad-rule:
+# --points) were re-pinned when argparse came to require it, which drops the
+# brackets around that flag in the usage line and changes nothing else.
 
 HELP_SCREENS = {
     (): "2854ba445d5da1ca77caf47579454aefd8165a8eed26e3eec3ab8a8af6e6b849",
-    ("coeffs",): "94e8e610c5623993237e4cbbf6306187f99bb7c1af3dac698008cc15bd1d59ae",
+    ("coeffs",): "80fd76952cf19dc02ec5c2dced82b54ccd22788cdb8aab072dc8fe054e7581b3",
     ("verify",): "35ca1a3d707a9406f5028079aac875f6460bc6dac66a5f451aa6463c995035f5",
     ("table",): "02fa8d0ff7608c29c3672038fd746e13af2d7f762e99e490365cf97e14db953f",
     ("verify", "orthogonality"): "21efccc8c87aa10580a9723d903c6b54df0d32a53b42be93db9eadf023275397",
     ("verify", "ode3"): "57a91925b43d4bf52aedd89424d071c4e444a225014d48992eb8eaef10ed5ccd",
     ("verify", "pencil"): "e97db94674033e9bd5d545b06b07ed3ed50098816ec78a77a35d3a17265212bb",
     ("verify", "recurrence"): "55fb916cee1bfc6e3cf1a0e01988fad06f9d2e912b424749c13e11060668d68d",
-    ("verify", "integral-rep"): "69a9fd48d4e8236a9b75e2eb283b317e4f0bbb11ec791bb5115fbcb7a1cce89f",
+    ("verify", "integral-rep"): "725c1424160148ba6a546907ca0a36021f06f859650955b16cdd0330ffbd717f",
     ("verify", "limit"): "6047b1d251268f040717ec80dcaf609fda46159dae6271b9a17dbef80ed501be",
     ("verify", "psi"): "e0dc56562218dd055d150b6ade131dab6223ea34d5259adfbfbac2b53b14565c",
-    ("table", "roots"): "14a66d7e719f24c9f72c41446dcb185cc1e49a3dd2eac56690ac0d6d3021bfe8",
-    ("table", "eval-grid"): "43c9e81e3ac86a0d346fa73a01deee7667cf012159a63f56442b434bb2a3942d",
-    ("table", "quad-rule"): "34cedf46d2967a207ea823a69645cfacf7187b5ca8249834d1c7b41566c5e26f",
+    ("table", "roots"): "0be9c29389b68f3e3ce4d4eec47fd66dc1f840a46a59dd79ffd19a5685a6e609",
+    ("table", "eval-grid"): "66629bd805282ff122adf1b2d472b3d7e0b736b507757c14909467ada7eb6bbf",
+    ("table", "quad-rule"): "42bb40fc39581c3fe2252d68f6162d9b61542df29d89c7f2996aeee5f1dc77cb",
     ("table", "discriminant-grid"): "78102d937a97f3aa8914a816dab05175d57a69ab61838f9528ecf26d558fb25d",
 }
 

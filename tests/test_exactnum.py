@@ -225,6 +225,14 @@ def test_equal_scalings_hash_equal():
     assert (Poly(), Poly().nums, Poly().den) == (Poly([0]), (), 1)
 
 
+@pytest.mark.parametrize("scalar", [0, 3, -7, F(-3, 4), F(22, 7)])
+def test_constant_hashes_as_the_scalar_it_equals(scalar):
+    constant = Poly([scalar])
+    assert constant == scalar and hash(constant) == hash(scalar)
+    assert len({constant, scalar}) == 1
+    assert {scalar: "x"}.get(constant) == "x"
+
+
 @given(polys, rationals | finite_floats.map(F))
 def test_exact_horner_matches_fraction_reference(p, x):
     got = p(x)

@@ -35,6 +35,29 @@ def test_phi_P_negative_index_rejected():
         phi_P(1, 1, 1, -1)
 
 
+@pytest.mark.parametrize("func,args,family", [
+    (generate_P_by_recurrence, (F(-1, 2), 3, 1, 5), "scriptP"),
+    (generate_P_by_recurrence, (F(-1, 2), 3, 1, 0), "scriptP"),
+    (psi_consistency, (F(-1, 2), 1, 1, 4), "scriptP"),
+    (psi_P, (1, 0, 1, 4), "scriptP"),
+    (phi_P, (1, 2, -3, 2), "scriptP"),
+    (recurrence_residual_P, (0, 1, 1, 2), "scriptP"),
+    (phi_L, (-3, 0, 2), "scriptL"),
+    (recurrence_residual_L, (1, 0, 2), "scriptL"),
+])
+def test_parameters_follow_the_family_rule(func, args, family):
+    # The relations are the families' own: their domain is script_p's/script_l's.
+    with pytest.raises(ValueError, match=f"{family} parameters must be strictly positive"):
+        func(*args)
+
+
+def test_parameters_are_coerced_as_the_family_coerces():
+    assert phi_P("1", "2", "3", 4) == phi_P(F(1), F(2), F(3), 4)
+    assert phi_L("2/3", 5, 3) == phi_L(F(2, 3), F(5), 3)
+    with pytest.raises(TypeError):
+        phi_P(1.0, 2, 3, 4)
+
+
 def test_phi_L_values():
     q, r, n = F(2), F(3), 4
     f = phi_L(q, r, n)

@@ -340,7 +340,7 @@ def _cmd_table_discriminant_grid(args):
     discriminant = discriminant_L if args.family == SCRIPT_L else discriminant_P
     rows = []
     for point in itertools.product(*ranges):
-        d = discriminant(*point)
+        d = discriminant(*FamilySpec(args.family, point).params)  # the family's parameter rule
         rows.append([*(str(v) for v in point), str(d), (d > 0) - (d < 0)])
     params = {"family": args.family}
     params.update({f"{name}_range": [str(v) for v in grid] for name, grid in zip(names, ranges)})

@@ -16,9 +16,11 @@ come from one multiplicative update per step and stay exact.  The families:
   boldL(alpha+1), jacobi_shifted(alpha, beta) is (alpha+1)_n/n! times
   boldP(alpha+1, beta+1), and jacobi is jacobi_shifted at (1 - t)/2.
 
-Every member is built by the one exact series over Fraction parameters.
-Float parameters take the same route at their binary values (a finite float
-is a dyadic rational), and only the resulting coefficients are rounded.
+Every member is built by the one exact series, which runs in Python ints:
+each rational parameter is split into its numerator and denominator, and
+the terms meet over one common denominator only at the end.  Float
+parameters take the same route at their binary values (a finite float is a
+dyadic rational), and only the resulting coefficients are rounded.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import lru_cache
 from math import factorial, isfinite, prod
 from typing import Sequence
 
-from .exactnum import Poly, as_rational, pochhammer
+from .exactnum import Poly, _poly, as_rational, pochhammer
 
 __all__ = [
     "FamilySpec",
@@ -143,6 +145,14 @@ def terminating_series(upper: Sequence, lower: Sequence, n: int) -> Poly:
     n = 0 (another upper parameter passing through zero) are legal.  A lower
     parameter equal to a nonpositive integer above -(n-1) would divide by
     zero inside the range and raises PoleError.
+
+    The loop runs in ints.  With u = p/d and l = p'/d' the term ratio
+    prod (u+k) / ((k+1) prod (l+k)) is N_k / M_k, where
+    N_k = prod (p + k d) prod d' and M_k = (k+1) prod (p' + k d') prod d.
+    Term k is then N_0...N_{k-1} M_k...M_{n-1} over M_0...M_{n-1}: a running
+    product of the N's times a suffix product of the M's, over one common
+    denominator.  A negative lower parameter can make that denominator
+    negative; every numerator then changes sign with it.
     """
     if n < 0:
         raise ValueError("series length must be nonnegative")
@@ -153,18 +163,23 @@ def terminating_series(upper: Sequence, lower: Sequence, n: int) -> Poly:
     for v in low:
         if v.denominator == 1 and 1 - n <= v <= 0:
             raise PoleError(f"lower parameter {v} is a pole within {n} terms")
-    term = Fraction(1)
-    coeffs = [term]
-    for k in range(n):
-        num = 1
-        for u in up:
-            num *= u + k
-        den = k + 1
+    up_scale = prod(u.denominator for u in up)
+    low_scale = prod(v.denominator for v in low)
+    suffix = [1] * (n + 1)  # suffix[k] = M_k ... M_{n-1}
+    for k in range(n - 1, -1, -1):
+        m = (k + 1) * up_scale
         for v in low:
-            den *= v + k
-        term = term * num / den
-        coeffs.append(term)
-    return Poly(coeffs)
+            m *= v.numerator + k * v.denominator
+        suffix[k] = suffix[k + 1] * m
+    sign = -1 if suffix[0] < 0 else 1  # _poly takes a positive denominator
+    head = sign
+    nums = [sign * suffix[0]]
+    for k in range(n):
+        head *= low_scale
+        for u in up:
+            head *= u.numerator + k * u.denominator
+        nums.append(head * suffix[k + 1])
+    return _poly(nums, sign * suffix[0])
 
 
 @lru_cache(maxsize=None)

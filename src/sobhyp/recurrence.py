@@ -18,13 +18,16 @@ raises DomainError there.
 
 A companion scaled system psi_k relates to phi_k by index-shift factors and
 satisfies four short linear identities; ``psi_consistency`` evaluates their
-residuals exactly.
+residuals exactly.  The Jacobi-side phi, the psi and the residuals run in
+ints over one scale L, the lcm of the parameter denominators, and each
+returned value is the one Fraction built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .exactnum import Poly
 from .families import make_member, script_l, script_p
@@ -67,37 +70,80 @@ class PsiCoeffs:
     psi6: Fraction
 
 
+def _scaled(a, b, c) -> tuple[int, int, int, int]:
+    """(A, B, C, L) with a = A/L, b = B/L, c = C/L over the lcm L of the denominators."""
+    L = lcm(a.denominator, b.denominator, c.denominator)
+    return (a.numerator * (L // a.denominator), b.numerator * (L // b.denominator),
+            c.numerator * (L // c.denominator), L)
+
+
+def _phi_P_nums(A: int, B: int, C: int, L: int, n: int) -> tuple[tuple[int, ...], int]:
+    """phi1..phi6 at (A/L, B/L, C/L) and n >= 0, as six ints over one positive int.
+
+    Each linear factor of the closed forms is carried times L, as an int:
+    a + n + j is A + (n+j)L, n + s + j is (n+j)L + S and 2n + s + j is
+    (2n+j)L + S, with S = A + B.
+    """
+    S = A + B
+    a0, c0 = A + n * L, C + n * L                  # a+n, c+n
+    e1, e0 = (2 * n - 1) * L + S, 2 * n * L + S    # 2n+s-1, 2n+s
+    g1, g2, g3 = (n - 1) * L + S, (n - 2) * L + S, (n - 3) * L + S  # n+s-1, -2, -3
+    if n == 0:
+        phi2, phi3, scale = 0, -A * C * (S - L) * (S - 2 * L), 1
+    elif n == 1:
+        bracket = (A + C + L) * L + (A + L) * (C + L)
+        phi2 = ((S - L) * (S + L) * bracket - 3 * A * C * (S + L) * L
+                - (A + L) * (C + L) * (S - L) * S)
+        phi3 = -(S + L) * (S - L) * bracket + 3 * A * C * (S + L) * L
+        scale = 1
+    else:
+        # phi_P's n >= 2 forms over 2 L^4 d3 d4, where d3 = L (2n+s-3), d4 = L (2n+s-4).
+        d3, d4 = (2 * n - 3) * L + S, (2 * n - 4) * L + S
+        e2 = e1 - L                                # 2n+s-2
+        a1, c1, a2, c2 = a0 - L, c0 - L, a0 - 2 * L, c0 - 2 * L
+        core = n * L * ((2 * n - 1) * L + A + C) + a0 * c0
+        phi3 = -2 * d4 * e1 * g2 * (core * d3 - 3 * n * L * a1 * c1)
+        phi2 = n * d3 * (
+            2 * d4 * d3 * e1 * core
+            - 6 * n * L * d4 * e1 * a1 * c1
+            - (n + 1) * d4 * a0 * c0 * d3 * e2
+            - 2 * g3 * e1 * e0 * a2 * c2
+            + (n + 1) * d4 * e1 * e0 * a2 * c2
+        )
+        scale = 2 * d3 * d4
+    phi4 = a0 * c0 * g1 * g2 * scale
+    phi5 = -n * g3 * e1 * e0 * L * scale
+    phi6 = (n + 1) * e1 * e0 * g2 * L * scale
+    return (-phi2 - phi3 - phi4, phi2, phi3, phi4, phi5, phi6), L ** 4 * scale
+
+
 def phi_P(a, b, c, n: int) -> PhiCoeffs:
-    """Recurrence coefficients for the Jacobi-side family at index n."""
+    """Recurrence coefficients for the Jacobi-side family at index n.
+
+    With s = a + b, d3 = 2n+s-3 and d4 = 2n+s-4 (both positive for n >= 2):
+
+        phi4 = (a+n)(c+n)(n+s-1)(n+s-2),  phi5 = -n(n+s-3)(2n+s-1)(2n+s)
+        phi6 = (2n+s-1)(2n+s)(n+1)(n+s-2),  phi1 = -phi2 - phi3 - phi4
+
+    At n = 0, phi2 = 0 and phi3 = -ac(s-1)(s-2).  At n = 1, with
+    k = a + c + 1 + (a+1)(c+1):
+
+        phi2 = (s-1)(s+1)k - 3ac(s+1) - (a+1)(c+1)(s-1)s
+        phi3 = -(s+1)(s-1)k + 3ac(s+1)
+
+    For n >= 2, with K = n(2n+a+c-1) + (a+n)(c+n):
+
+        phi3 = -(2n+s-1)(n+s-2)(K - 3n(a+n-1)(c+n-1)/d3)
+        phi2 = n[d3(2n+s-1)K - 3n(2n+s-1)(a+n-1)(c+n-1)
+                 - (a+n)(c+n) d3(2n+s-2)(n+1)/2
+                 - (n+s-3)(2n+s-1)(2n+s)(a+n-2)(c+n-2)/d4
+                 + (2n+s-1)(2n+s)(n+1)(a+n-2)(c+n-2)/2]
+    """
     a, b, c = script_p(a, b, c).params
     if n < 0:
         raise ValueError("recurrence index must be nonnegative")
-    s = a + b
-    if n == 0:
-        phi2 = Fraction(0)
-        phi3 = -a * c * (s - 1) * (s - 2)
-    elif n == 1:
-        bracket = a + c + 1 + (a + 1) * (c + 1)
-        phi2 = (s - 1) * (s + 1) * bracket - 3 * a * c * (s + 1) - (a + 1) * (c + 1) * (s - 1) * s
-        phi3 = -(s + 1) * (s - 1) * bracket + 3 * a * c * (s + 1)
-    else:
-        # Both are positive for n >= 2, since a + b > 0.
-        d3 = 2 * n + s - 3
-        d4 = 2 * n + s - 4
-        core = n * (2 * n + a + c - 1) + (a + n) * (c + n)
-        phi3 = -(2 * n + s - 1) * (n + s - 2) * (core - 3 * n * (a + n - 1) * (c + n - 1) / d3)
-        phi2 = n * (
-            d3 * (2 * n + s - 1) * core
-            - 3 * n * (2 * n + s - 1) * (a + n - 1) * (c + n - 1)
-            - Fraction(1, 2) * (a + n) * (c + n) * d3 * (2 * n + s - 2) * (n + 1)
-            - (n + s - 3) * (2 * n + s - 1) * (2 * n + s) * (a + n - 2) * (c + n - 2) / d4
-            + Fraction(1, 2) * (2 * n + s - 1) * (2 * n + s) * (n + 1) * (a + n - 2) * (c + n - 2)
-        )
-    phi4 = (a + n) * (c + n) * (n + s - 1) * (n + s - 2)
-    phi5 = -n * (n + s - 3) * (2 * n + s - 1) * (2 * n + s)
-    phi6 = (2 * n + s - 1) * (2 * n + s) * (n + 1) * (n + s - 2)
-    phi1 = -phi2 - phi3 - phi4
-    return PhiCoeffs(phi1, phi2, phi3, phi4, phi5, phi6)
+    nums, den = _phi_P_nums(*_scaled(a, b, c), n)
+    return PhiCoeffs(*(Fraction(v, den) for v in nums))
 
 
 def phi_L(q, r, n: int) -> PhiCoeffs:
@@ -165,21 +211,32 @@ def generate_P_by_recurrence(a, b, c, N: int) -> list[Poly]:
     return out
 
 
-def psi_P(a, b, c, n: int) -> PsiCoeffs:
-    """The scaled companion coefficients, defined for n >= 2."""
-    a, b, c = script_p(a, b, c).params
+def _psi_P_nums(A: int, B: int, C: int, L: int, n: int) -> tuple[tuple[int, ...], int]:
+    """psi1..psi6 at (A/L, B/L, C/L) and n >= 2, as six ints over one positive int."""
     if n < 2:
         raise DomainError("psi coefficients are defined for n >= 2")
-    s = a + b
-    f = phi_P(a, b, c, n)
-    return PsiCoeffs(
-        psi1=(n + s - 3) * (n + s - 2) * (n + s - 1) / Fraction((n + 1) * n * (n - 1)) * f.phi1,
-        psi2=(n + s - 2) * (n + s - 1) / Fraction((n + 1) * n) * f.phi2,
-        psi3=(n + s - 1) / Fraction(n + 1) * f.phi3,
-        psi4=f.phi4,
-        psi5=-(n + s - 2) * (n + s - 1) / Fraction((n + 1) * n) * f.phi5,
-        psi6=-(n + s - 1) / Fraction(n + 1) * f.phi6,
-    )
+    (f1, f2, f3, f4, f5, f6), den = _phi_P_nums(A, B, C, L, n)
+    S = A + B
+    g1, g2, g3 = (n - 1) * L + S, (n - 2) * L + S, (n - 3) * L + S  # n+s-1, -2, -3
+    m = n - 1
+    nums = (g3 * g2 * g1 * f1, g2 * g1 * L * m * f2, g1 * L * L * n * m * f3,
+            L ** 3 * (n + 1) * n * m * f4, -g2 * g1 * L * m * f5, -g1 * L * L * n * m * f6)
+    return nums, den * L ** 3 * (n + 1) * n * m
+
+
+def psi_P(a, b, c, n: int) -> PsiCoeffs:
+    """The scaled companion coefficients, defined for n >= 2:
+
+        psi1 = (n+s-3)(n+s-2)(n+s-1) / ((n+1) n (n-1)) phi1
+        psi2 = (n+s-2)(n+s-1) / ((n+1) n) phi2,  psi3 = (n+s-1) / (n+1) phi3
+        psi4 = phi4,  psi5 = -(n+s-2)(n+s-1) / ((n+1) n) phi5
+        psi6 = -(n+s-1) / (n+1) phi6
+
+    with s = a + b.
+    """
+    a, b, c = script_p(a, b, c).params
+    nums, den = _psi_P_nums(*_scaled(a, b, c), n)
+    return PsiCoeffs(*(Fraction(v, den) for v in nums))
 
 
 def psi_consistency(a, b, c, n: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -196,24 +253,22 @@ def psi_consistency(a, b, c, n: int) -> tuple[Fraction, Fraction, Fraction, Frac
             + 2 psi5 (a+n-2)(c+n-2) + psi6 (2n+s-4)(a+n-2)(c+n-2)
         psi5 (n+1)(a-1)(c-1) + psi6 (n+s-3)(a-1)(c-1)
 
-    with s = a + b.
+    with s = a + b.  They are evaluated in ints, with every factor times L
+    as in ``_phi_P_nums``.
     """
     a, b, c = script_p(a, b, c).params
-    s = a + b
-    p = psi_P(a, b, c, n)
-    r1 = p.psi4 * (2 * n + s - 1) * (2 * n + s) + p.psi6 * (a + n) * (c + n)
-    r2 = (
-        p.psi3 * (2 * n + s - 3) * (2 * n + s - 2)
-        + p.psi4 * (2 * n + s - 3) * (2 * n + s - 2) * (2 * n + s - 1)
-        + p.psi5 * (a + n - 1) * (c + n - 1)
-        + p.psi6 * (2 * n + s - 3) * (a + n - 1) * (c + n - 1)
-    )
-    r3 = (
-        2 * p.psi2 * (2 * n + s - 4)
-        + 2 * p.psi3 * (2 * n + s - 4) * (2 * n + s - 3)
-        + p.psi4 * (2 * n + s - 4) * (2 * n + s - 3) * (2 * n + s - 2)
-        + 2 * p.psi5 * (a + n - 2) * (c + n - 2)
-        + p.psi6 * (2 * n + s - 4) * (a + n - 2) * (c + n - 2)
-    )
-    r4 = p.psi5 * (n + 1) * (a - 1) * (c - 1) + p.psi6 * (n + s - 3) * (a - 1) * (c - 1)
-    return (r1, r2, r3, r4)
+    A, B, C, L = _scaled(a, b, c)
+    (_, p2, p3, p4, p5, p6), den = _psi_P_nums(A, B, C, L, n)
+    S = A + B
+    a0, c0 = A + n * L, C + n * L                  # a+n, c+n
+    a1, c1, a2, c2 = a0 - L, c0 - L, a0 - 2 * L, c0 - 2 * L
+    e0, e1, e2 = 2 * n * L + S, (2 * n - 1) * L + S, (2 * n - 2) * L + S  # 2n+s, -1, -2
+    d3, d4 = (2 * n - 3) * L + S, (2 * n - 4) * L + S
+    g3 = (n - 3) * L + S                           # n+s-3
+    r1 = p4 * e1 * e0 + p6 * a0 * c0
+    r2 = p3 * d3 * e2 * L + p4 * d3 * e2 * e1 + p5 * a1 * c1 * L + p6 * d3 * a1 * c1
+    r3 = (2 * p2 * d4 * L * L + 2 * p3 * d4 * d3 * L + p4 * d4 * d3 * e2
+          + 2 * p5 * a2 * c2 * L + p6 * d4 * a2 * c2)
+    r4 = (A - L) * (C - L) * (p5 * (n + 1) * L + p6 * g3)
+    return (Fraction(r1, den * L * L), Fraction(r2, den * L ** 3),
+            Fraction(r3, den * L ** 3), Fraction(r4, den * L ** 3))

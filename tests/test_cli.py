@@ -496,6 +496,20 @@ def test_table_discriminant_grid_signs(capsys):
     assert rows[2][2] == "-128"
 
 
+@pytest.mark.parametrize("argv,family", [
+    (["--family", "scriptL", "--q-range=-2:0:3", "--r-range", "1:1:1"], "scriptL"),
+    (["--family", "scriptL", "--q-range", "1:2:2", "--r-range=-1:1:3"], "scriptL"),
+    (["--family", "scriptP", "--a-range", "1:2:2", "--b-range", "1:1:1", "--c-range", "0:1:2"],
+     "scriptP"),
+])
+def test_table_discriminant_grid_applies_the_family_rule(capsys, argv, family):
+    # A grid point outside the family's domain is refused by the family's own rule.
+    code, out, err = run_cli(capsys, "table", "discriminant-grid", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {family} parameters must be strictly positive\n"
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "doc.json"
     code, out, _ = run_cli(

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sobhyp.exactnum import Poly, pochhammer
 from sobhyp.families import (
@@ -121,19 +121,70 @@ def test_leading_coefficient_matches_expansion(spec, n):
 
 
 def test_terminating_series_requires_minus_n_upper():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^no upper parameter equals -3; the series would not "
+                                         "terminate there$"):
         terminating_series([F(1)], [F(2)], 3)
+    with pytest.raises(ValueError, match="^series length must be nonnegative$"):
+        terminating_series([1], [F(2)], -1)
     # n = 0 with another upper parameter passing through zero is legal
     assert terminating_series([0, 0, 1], [F(1, 2), 2], 0) == Poly([1])
 
 
 def test_terminating_series_pole_detection():
-    with pytest.raises(PoleError):
+    with pytest.raises(PoleError, match="^lower parameter -1 is a pole within 3 terms$"):
         terminating_series([-3, 1], [F(-1), 2], 3)
-    with pytest.raises(PoleError):
+    with pytest.raises(PoleError, match="^lower parameter 0 is a pole within 2 terms$"):
         terminating_series([-2, 1], [0, 2], 2)
     # a pole sitting beyond the needed terms is harmless
     assert terminating_series([-1, 1], [F(-5), 2], 1).degree == 1
+
+
+def _fraction_series(upper, lower, n):
+    """The series as a loop over Fraction terms: term_{k+1} = term_k prod (u+k) / ((k+1) prod (l+k))."""
+    term = F(1)
+    coeffs = [term]
+    for k in range(n):
+        num = 1
+        for u in upper:
+            num *= u + k
+        den = k + 1
+        for v in lower:
+            den *= v + k
+        term = term * num / den
+        coeffs.append(term)
+    return Poly(coeffs)
+
+
+_series_rationals = st.fractions(min_value=-12, max_value=12, max_denominator=7)
+
+
+@st.composite
+def series_cases(draw):
+    n = draw(st.integers(0, 10))
+    upper = [-n, *draw(st.lists(_series_rationals, max_size=2))]
+    if n >= 2 and draw(st.booleans()):
+        upper.append(-draw(st.integers(1, n - 1)))  # the terms past it are zero
+    lower = draw(st.lists(_series_rationals, max_size=3))
+    return draw(st.permutations(upper)), lower, n
+
+
+@given(series_cases())
+@example(([-3, F(-7, 2), F(-1, 3)], [F(-5, 3)], 3))  # negative numerators
+@example(([-3, 1], [F(-1, 2)], 3))  # a negative lower parameter: negative denominator
+@example(([-4, 1], [F(-5, 2), F(-1, 3)], 4))
+@example(([-5, -2, 1], [F(1, 2)], 5))  # trailing zero terms
+@example(([0, 0, 1], [F(1, 2), 2], 0))  # another upper parameter at zero, n = 0
+@example(([-3, 1], [F(-1), 2], 3))  # a pole in range
+def test_terminating_series_matches_the_fraction_loop(case):
+    upper, lower, n = case
+    try:
+        want = _fraction_series(upper, lower, n)
+    except ZeroDivisionError:
+        with pytest.raises(PoleError):
+            terminating_series(upper, lower, n)
+        return
+    got = terminating_series(upper, lower, n)
+    assert (got.nums, got.den) == (want.nums, want.den)
 
 
 def test_spec_validation():

@@ -1,9 +1,11 @@
 """Five-polynomial recurrences, generation, and the psi identities."""
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sobhyp.exactnum import Poly
 from sobhyp.families import make_member, script_p
@@ -169,3 +171,103 @@ def test_phi4_nonzero_off_degenerate_slices():
                 assert f.phi4 != 0, (a, b, c, n)
             if n >= 2:
                 assert f.phi4 > 0, (a, b, c, n)
+
+
+# --- the closed forms as Fraction arithmetic, the reference for the int forms -----
+
+
+def _phi_P_fractions(a, b, c, n):
+    s = a + b
+    if n == 0:
+        phi2 = F(0)
+        phi3 = -a * c * (s - 1) * (s - 2)
+    elif n == 1:
+        bracket = a + c + 1 + (a + 1) * (c + 1)
+        phi2 = (s - 1) * (s + 1) * bracket - 3 * a * c * (s + 1) - (a + 1) * (c + 1) * (s - 1) * s
+        phi3 = -(s + 1) * (s - 1) * bracket + 3 * a * c * (s + 1)
+    else:
+        d3 = 2 * n + s - 3
+        d4 = 2 * n + s - 4
+        core = n * (2 * n + a + c - 1) + (a + n) * (c + n)
+        phi3 = -(2 * n + s - 1) * (n + s - 2) * (core - 3 * n * (a + n - 1) * (c + n - 1) / d3)
+        phi2 = n * (
+            d3 * (2 * n + s - 1) * core
+            - 3 * n * (2 * n + s - 1) * (a + n - 1) * (c + n - 1)
+            - F(1, 2) * (a + n) * (c + n) * d3 * (2 * n + s - 2) * (n + 1)
+            - (n + s - 3) * (2 * n + s - 1) * (2 * n + s) * (a + n - 2) * (c + n - 2) / d4
+            + F(1, 2) * (2 * n + s - 1) * (2 * n + s) * (n + 1) * (a + n - 2) * (c + n - 2)
+        )
+    phi4 = (a + n) * (c + n) * (n + s - 1) * (n + s - 2)
+    phi5 = -n * (n + s - 3) * (2 * n + s - 1) * (2 * n + s)
+    phi6 = (2 * n + s - 1) * (2 * n + s) * (n + 1) * (n + s - 2)
+    return (-phi2 - phi3 - phi4, phi2, phi3, phi4, phi5, phi6)
+
+
+def _psi_P_fractions(a, b, c, n):
+    s = a + b
+    f1, f2, f3, f4, f5, f6 = _phi_P_fractions(a, b, c, n)
+    return (
+        (n + s - 3) * (n + s - 2) * (n + s - 1) / F((n + 1) * n * (n - 1)) * f1,
+        (n + s - 2) * (n + s - 1) / F((n + 1) * n) * f2,
+        (n + s - 1) / F(n + 1) * f3,
+        f4,
+        -(n + s - 2) * (n + s - 1) / F((n + 1) * n) * f5,
+        -(n + s - 1) / F(n + 1) * f6,
+    )
+
+
+def _psi_consistency_fractions(a, b, c, n):
+    s = a + b
+    _, p2, p3, p4, p5, p6 = _psi_P_fractions(a, b, c, n)
+    return (
+        p4 * (2 * n + s - 1) * (2 * n + s) + p6 * (a + n) * (c + n),
+        p3 * (2 * n + s - 3) * (2 * n + s - 2)
+        + p4 * (2 * n + s - 3) * (2 * n + s - 2) * (2 * n + s - 1)
+        + p5 * (a + n - 1) * (c + n - 1)
+        + p6 * (2 * n + s - 3) * (a + n - 1) * (c + n - 1),
+        2 * p2 * (2 * n + s - 4)
+        + 2 * p3 * (2 * n + s - 4) * (2 * n + s - 3)
+        + p4 * (2 * n + s - 4) * (2 * n + s - 3) * (2 * n + s - 2)
+        + 2 * p5 * (a + n - 2) * (c + n - 2)
+        + p6 * (2 * n + s - 4) * (a + n - 2) * (c + n - 2),
+        p5 * (n + 1) * (a - 1) * (c - 1) + p6 * (n + s - 3) * (a - 1) * (c - 1),
+    )
+
+
+def _assert_matches_the_fraction_forms(a, b, c, n):
+    f = phi_P(a, b, c, n)
+    got = [(f.phi1, f.phi2, f.phi3, f.phi4, f.phi5, f.phi6)]
+    assert got[0] == _phi_P_fractions(a, b, c, n)
+    if n >= 2:
+        p = psi_P(a, b, c, n)
+        got += [(p.psi1, p.psi2, p.psi3, p.psi4, p.psi5, p.psi6), psi_consistency(a, b, c, n)]
+        assert got[1] == _psi_P_fractions(a, b, c, n)
+        assert got[2] == _psi_consistency_fractions(a, b, c, n)
+    assert all(type(v) is F for values in got for v in values)
+
+
+def _rational_grid(seed, count):
+    rng = random.Random(seed)
+    points = [tuple(F(rng.randint(1, 30), rng.randint(1, 8)) for _ in range(3))
+              for _ in range(count)]
+    # The degenerate slices a + b = 1 and a + b = 2, where phi4 vanishes at n <= 1.
+    for s in (1, 2):
+        for _ in range(count // 4):
+            a = F(rng.randint(1, 7), 8) * s
+            points.append((a, s - a, F(rng.randint(1, 30), rng.randint(1, 8))))
+    return points
+
+
+def test_int_forms_match_the_fraction_forms_on_a_seeded_grid():
+    for a, b, c in _rational_grid(2019, 40):
+        for n in range(0, 13):
+            _assert_matches_the_fraction_forms(a, b, c, n)
+
+
+@given(
+    st.tuples(*[st.fractions(min_value=0, max_value=40, max_denominator=60)
+                .filter(lambda v: v > 0)] * 3),
+    st.integers(0, 40),
+)
+def test_int_forms_match_the_fraction_forms_property(params, n):
+    _assert_matches_the_fraction_forms(*params, n)

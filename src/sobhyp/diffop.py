@@ -1,19 +1,15 @@
 """Linear differential operators with polynomial coefficients.
 
 An operator is the finite sum  sum_k  c_k(x) d^k/dx^k  stored as the tuple
-of its coefficient polynomials, index = derivative order.  Application and
-composition stay inside exact rational arithmetic, so operator identities
-can be checked as literal polynomial equalities.
-
-Two constructions matter downstream:
-
-* ``composed_lowering(rs)`` builds the product of the degree-preserving
-  operators D_r y = (x^(r-1) y)^((r-1)) from their action on monomials;
-  ``make_D_xi(r)`` is the one-factor case, and D_1 is the identity.
-* ``laguerre_operator`` / ``jacobi_operator`` build the classical
-  second-order operators together with their eigenvalue maps; the pencil
-  residual checks that a lowering-operator image of a family member is an
-  eigenfunction.
+of its coefficient polynomials, index = derivative order.  It acts on
+monomials as bands: c x^j d^k sends x^m to c perm(m, k) x^(m+j-k), so band
+s = j - k carries an integer polynomial sigma_s(m) over one denominator.
+Applying an operator is one int pass out[m + s] += sigma_s(m) y_m over the
+numerators of y, built as one Poly at the end; composing two convolves their
+bands.  The lowering operators D_r y = (x^(r-1) y)^((r-1)) and their products
+(``composed_lowering``) have one band; the classical operators
+(``laguerre_operator`` / ``jacobi_operator``) and the third-order equation,
+the series' term ratio in theta = x d/dx, have two.
 """
 
 from __future__ import annotations
@@ -21,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import factorial, lcm, perm, prod
 from typing import Callable, Sequence
 
-from .exactnum import Poly, as_rational, pochhammer
-from .families import _LAYOUTS, SCRIPT_L, SCRIPT_P, FamilySpec, make_member
+from .exactnum import Poly, _poly, as_rational, pochhammer
+from .families import _LAYOUTS, SCRIPT_L, SCRIPT_P, FamilySpec, _series_params, make_member
 
 __all__ = [
     "DiffOp",
@@ -51,6 +47,18 @@ class DiffOp:
         while cs and cs[-1].is_zero:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*(c.den for c in cs))
+        terms: dict[int, list[tuple[int, int]]] = {}
+        for k, ck in enumerate(cs):
+            for j, v in enumerate(ck.nums):
+                if v:
+                    terms.setdefault(j - k, []).append((k, v * (den // ck.den)))
+        bands = [(s, lru_cache(None)(lambda m, t=t: sum(v * perm(m, k) for k, v in t)))
+                 for s, t in terms.items()]
+        object.__setattr__(self, "_bands", (bands, den))
+
+    def __reduce__(self):  # the bands hold closures: pickle rebuilds them from the coefficients
+        return DiffOp, (self.coeffs,)
 
     @property
     def order(self) -> int | None:
@@ -58,39 +66,45 @@ class DiffOp:
         return len(self.coeffs) - 1 if self.coeffs else None
 
     def apply(self, y: Poly) -> Poly:
-        out = Poly()
-        for k, ck in enumerate(self.coeffs):
-            if not ck.is_zero:
-                out = out + ck * y.derivative(k)
-        return out
+        return _band_pass(y, *self._bands)
 
     __call__ = apply
+
+
+def _band_pass(y: Poly, bands, den: int) -> Poly:
+    """sum_s sigma_s(m) y_m x^(m+s) / den over the bands (s, sigma_s), in one int pass."""
+    nums = y.nums
+    out = [0] * (len(nums) + max((s for s, _ in bands), default=0))
+    for s, sigma in bands:
+        for m in range(max(0, -s), len(nums)):
+            out[m + s] += sigma(m) * nums[m]
+    return _poly(out, den * y.den)
 
 
 def identity_op() -> DiffOp:
     return DiffOp((Poly([1]),))
 
 
+def _from_bands(bands, den: int, order: int) -> DiffOp:
+    """The operator of bands sigma_s / den, each of degree <= ``order`` in m: its
+    x^(k+s) d^k coefficient is the forward difference (Delta^k sigma_s)(0) / k!."""
+    terms: list[list[Poly]] = [[] for _ in range(order + 1)]
+    for s, sigma in bands:
+        diffs = [sigma(m) for m in range(order + 1)]
+        for k in range(order + 1):
+            if diffs[0]:
+                terms[k].append(Poly.monomial(k + s, Fraction(diffs[0], factorial(k) * den)))
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return DiffOp(tuple(sum(t, Poly()) for t in terms))
+
+
 def compose(outer: DiffOp, inner: DiffOp) -> DiffOp:
-    """The operator acting as ``outer(inner(y))``, expanded by Leibniz's rule."""
-    acc: dict[int, Poly] = {}
-    for j, aj in enumerate(outer.coeffs):
-        if aj.is_zero:
-            continue
-        for k, bk in enumerate(inner.coeffs):
-            if bk.is_zero:
-                continue
-            # d^j (b_k y^(k)) = sum_i C(j,i) b_k^((j-i)) y^((k+i))
-            for i in range(j + 1):
-                dkb = bk.derivative(j - i)
-                if dkb.is_zero:
-                    continue
-                term = aj * dkb * comb(j, i)
-                acc[k + i] = acc.get(k + i, Poly()) + term
-    if not acc:
-        return DiffOp(())
-    top = max(acc)
-    return DiffOp(tuple(acc.get(k, Poly()) for k in range(top + 1)))
+    """The operator acting as ``outer(inner(y))``: its band s is the convolution
+    sum_t outer_(s-t)(m+t) inner_t(m), where inner_t(m) = 0 if m + t < 0."""
+    (outer_bands, outer_den), (inner_bands, inner_den) = outer._bands, inner._bands
+    bands = [(u + t, lambda m, f=sigma, t=t, g=tau: f(m + t) * g(m) if m + t >= 0 else 0)
+             for t, tau in inner_bands for u, sigma in outer_bands]
+    return _from_bands(bands, outer_den * inner_den, (outer.order or 0) + (inner.order or 0))
 
 
 def _lowering_orders(values) -> tuple[int, ...]:
@@ -124,23 +138,16 @@ def composed_lowering(rs: Sequence[int]) -> DiffOp:
     """The composition of D_r over the orders ``rs``; the D_r commute.
 
     Each D_r is diagonal on monomials, D_r x^k = (k+1)_(r-1) x^k, so the
-    composition scales x^k by lam(k) = prod_r (k+1)_(r-1).  As x^m d^m maps
-    x^k to k!/(k-m)! x^k, its coefficients are (Delta^m lam)(0)/m! x^m.
-    Each order tuple is built once and the operator shared.
+    composition is the one band lam(k) = prod_r (k+1)_(r-1).  Each order
+    tuple is built once and the operator shared.
     """
     return _composed_lowering(_lowering_orders(tuple(rs)))
 
 
 @lru_cache(maxsize=None)
 def _composed_lowering(orders: tuple[int, ...]) -> DiffOp:
-    top = sum(orders) - len(orders)
-    # diffs[k] = (Delta^m lam)(k) at step m; lam has degree top, so k <= top suffices.
-    diffs = [prod(pochhammer(k + 1, r - 1) for r in orders) for k in range(top + 1)]
-    coeffs = []
-    for m in range(top + 1):
-        coeffs.append(Poly.monomial(m, Fraction(diffs[0], factorial(m))))
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    return DiffOp(tuple(coeffs))
+    lam = [(0, lambda m: prod(pochhammer(m + 1, r - 1) for r in orders))]
+    return _from_bands(lam, 1, sum(orders) - len(orders))
 
 
 def laguerre_operator(q) -> tuple[DiffOp, Callable[[int], Fraction]]:
@@ -152,43 +159,35 @@ def laguerre_operator(q) -> tuple[DiffOp, Callable[[int], Fraction]]:
 
 def jacobi_operator(a, b) -> tuple[DiffOp, Callable[[int], Fraction]]:
     """Classical Jacobi-side operator x(1-x) y'' + (a - (a+b)x) y', eigenvalues -n(n+a+b-1)."""
-    a = as_rational(a)
-    b = as_rational(b)
+    a, b = as_rational(a), as_rational(b)
     op = DiffOp((Poly(), Poly([a, -(a + b)]), Poly([0, 1, -1])))
     return op, lambda n: -n * (n + a + b - 1)
 
 
 def pencil_residual(spec: FamilySpec, n: int) -> Poly:
-    """L(D y_n) - lambda_n (D y_n) for the family's classical operator L.
-
-    Zero exactly when the lowered member is a classical eigenfunction; the
-    verification suite asserts this over whole parameter grids.
-    """
+    """L(D y_n) - lambda_n (D y_n) for the family's classical operator L: zero
+    exactly when the lowered member is a classical eigenfunction.  Two passes,
+    the lowering's band, then L's two bands with -lambda_n in band 0."""
     head, orders = _weight_and_orders(spec)
     op, eig = laguerre_operator(*head) if len(head) == 1 else jacobi_operator(*head)
     u = composed_lowering(orders)(make_member(spec, n))
-    return op(u) - eig(n) * u
+    return DiffOp((op.coeffs[0] - eig(n), *op.coeffs[1:]))(u)
 
 
 def ode3_residual(spec: FamilySpec, n: int) -> Poly:
     """Residual of the third-order equation satisfied by the degree-n member.
 
-    For scriptL(q, r), with lam = n:
-        x^2 y''' + (q+r+1-x) x y'' + (qr - 2x) y' + lam (x y' + y) = 0
-    and for scriptP(a, b, c), with lam = n(n+a+b-1):
-        (1-x) x^2 y''' + (a+c+1 - (a+b+3)x) x y'' + (ac - 2(a+b)x) y'
-            + lam (x y' + y) = 0.
-    The residual is one DiffOp applied to the member, with lam (x y' + y)
-    folded into the coefficients of y and y'.
+    It is the series' term ratio in theta = x d/dx: with upper and lower
+    parameters u, l -- (-n, 1 | q, r) for scriptL, (-n, n-1+a+b, 1 | a, c)
+    for scriptP -- the member solves [theta prod_l (theta+l-1) - x prod_u
+    (theta+u)] y = 0, and the residual, that image over x, is one two-band
+    int pass:  sum_k [(k+1) prod_l (k+l) y_(k+1) - prod_u (k+u) y_k] x^k.
+    For scriptL this is x^2 y''' + (q+r+1-x) x y'' + (qr - 2x) y' + n (x y' + y).
     """
-    if spec.kind == SCRIPT_L:
-        q, r = spec.params
-        lam = n
-        coeffs = [[q * r, lam - 2], [0, q + r + 1, -1], [0, 0, 1]]
-    elif spec.kind == SCRIPT_P:
-        a, b, c = spec.params
-        lam = n * (n + a + b - 1)
-        coeffs = [[a * c, lam - 2 * (a + b)], [0, a + c + 1, -(a + b + 3)], [0, 0, 1, -1]]
-    else:
+    if spec.kind not in (SCRIPT_L, SCRIPT_P):
         raise ValueError(f"no third-order equation for family kind {spec.kind!r}")
-    return DiffOp((Poly([lam]), *map(Poly, coeffs)))(make_member(spec, n))
+    upper, lower = _series_params(spec, n)
+    du, dl = prod(u.denominator for u in upper), prod(v.denominator for v in lower)
+    bands = ((-1, lambda m: m * du * prod(v.numerator + (m - 1) * v.denominator for v in lower)),
+             (0, lambda m: -dl * prod(u.numerator + m * u.denominator for u in upper)))
+    return _band_pass(make_member(spec, n), bands, du * dl)

@@ -201,11 +201,16 @@ def _member(spec: FamilySpec, n: int) -> Poly:
     if bold is not None:
         zero_slot = _member(FamilySpec(bold, tuple(p + 1 for p in spec.params)), n)
         return zero_slot * Fraction(pochhammer(spec.params[0] + 1, n), factorial(n))
+    return terminating_series(*_series_params(spec, n), n)
+
+
+def _series_params(spec: FamilySpec, n: int) -> tuple[tuple, tuple]:
+    """The upper and lower parameters of a hypergeometric kind's degree-n series."""
     if len(_LAYOUTS[spec.kind].weights) == 1:
         q, *rs = spec.params
-        return terminating_series((-n, *([1] * len(rs))), (q, *rs), n)
+        return (-n, *([1] * len(rs))), (q, *rs)
     a, b, *cs = spec.params
-    return terminating_series((-n, n - 1 + a + b, *([1] * len(cs))), (a, *cs), n)
+    return (-n, n - 1 + a + b, *([1] * len(cs))), (a, *cs)
 
 
 def leading_coefficient(spec: FamilySpec, n: int) -> Fraction:

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exactnum import Poly
-from .families import make_member, script_l, script_p
+from .exactnum import Poly, _poly
+from .families import FamilySpec, make_member, script_l, script_p
 
 __all__ = [
     "DomainError",
@@ -73,8 +73,7 @@ class PsiCoeffs:
 def _scaled(a, b, c) -> tuple[int, int, int, int]:
     """(A, B, C, L) with a = A/L, b = B/L, c = C/L over the lcm L of the denominators."""
     L = lcm(a.denominator, b.denominator, c.denominator)
-    return (a.numerator * (L // a.denominator), b.numerator * (L // b.denominator),
-            c.numerator * (L // c.denominator), L)
+    return (*(v.numerator * (L // v.denominator) for v in (a, b, c)), L)
 
 
 def _phi_P_nums(A: int, B: int, C: int, L: int, n: int) -> tuple[tuple[int, ...], int]:
@@ -84,6 +83,8 @@ def _phi_P_nums(A: int, B: int, C: int, L: int, n: int) -> tuple[tuple[int, ...]
     a + n + j is A + (n+j)L, n + s + j is (n+j)L + S and 2n + s + j is
     (2n+j)L + S, with S = A + B.
     """
+    if n < 0:
+        raise ValueError("recurrence index must be nonnegative")
     S = A + B
     a0, c0 = A + n * L, C + n * L                  # a+n, c+n
     e1, e0 = (2 * n - 1) * L + S, 2 * n * L + S    # 2n+s-1, 2n+s
@@ -139,54 +140,50 @@ def phi_P(a, b, c, n: int) -> PhiCoeffs:
                  - (n+s-3)(2n+s-1)(2n+s)(a+n-2)(c+n-2)/d4
                  + (2n+s-1)(2n+s)(n+1)(a+n-2)(c+n-2)/2]
     """
-    a, b, c = script_p(a, b, c).params
-    if n < 0:
-        raise ValueError("recurrence index must be nonnegative")
-    nums, den = _phi_P_nums(*_scaled(a, b, c), n)
+    nums, den = _phi_P_nums(*_scaled(*script_p(a, b, c).params), n)
     return PhiCoeffs(*(Fraction(v, den) for v in nums))
 
 
 def phi_L(q, r, n: int) -> PhiCoeffs:
     """Recurrence coefficients for the Laguerre-side family at index n."""
-    q, r = script_l(q, r).params
+    return PhiCoeffs(*_phi_L_at(script_l(q, r), n))
+
+
+def _phi_L_at(spec: FamilySpec, n: int) -> tuple[Fraction, ...]:
     if n < 0:
         raise ValueError("recurrence index must be nonnegative")
-    return PhiCoeffs(
-        phi1=Fraction((n - 1) * n),
-        phi2=-n * (3 * n + q + r - 2),
-        phi3=n * (2 * n + q + r - 1) + (n + q) * (n + r),
-        phi4=-(n + q) * (n + r),
-        phi5=Fraction(n),
-        phi6=Fraction(-(n + 1)),
-    )
+    q, r = spec.params
+    return (Fraction((n - 1) * n), -n * (3 * n + q + r - 2),
+            n * (2 * n + q + r - 1) + (n + q) * (n + r), -(n + q) * (n + r),
+            Fraction(n), Fraction(-(n + 1)))
 
 
-def _five_term_residual(member, phi: PhiCoeffs, n: int) -> Poly:
-    x = Poly.monomial(1)
-    ym2 = member(n - 2) if n >= 2 else Poly()
-    ym1 = member(n - 1) if n >= 1 else Poly()
-    yn = member(n)
-    yp1 = member(n + 1)
-    return (
-        phi.phi1 * ym2
-        + phi.phi2 * ym1
-        + phi.phi3 * yn
-        + phi.phi4 * yp1
-        + phi.phi5 * (x * ym1)
-        + phi.phi6 * (x * yn)
-    )
+def _five_term_residual(member, n: int, phis, den: int = 1) -> Poly:
+    """phi1 y_{n-2} + phi2 y_{n-1} + phi3 y_n + phi4 y_{n+1} + phi5 x y_{n-1} + phi6 x y_n,
+    with ``phis`` over ``den`` and members of negative index read as zero, as one int
+    pass: six numerator rows over one lcm, the two x rows shifted up by one."""
+    ys = [member(k) if k >= 0 else Poly() for k in range(n - 2, n + 2)]
+    rows = (*zip(phis, ys, (0, 0, 0, 0)), (phis[4], ys[1], 1), (phis[5], ys[2], 1))
+    top = lcm(*(f.denominator * y.den for f, y, _ in rows))
+    out = [0] * (1 + max(len(y.nums) for y in ys))
+    for f, y, s in rows:
+        scale = f.numerator * (top // (f.denominator * y.den))
+        for k, v in enumerate(y.nums, s):
+            out[k] += scale * v
+    return _poly(out, top * den)
 
 
 def recurrence_residual_P(a, b, c, n: int) -> Poly:
     """Exact residual of the five-polynomial relation at index n (zero when it holds)."""
     spec = script_p(a, b, c)
-    return _five_term_residual(lambda k: make_member(spec, k), phi_P(a, b, c, n), n)
+    nums, den = _phi_P_nums(*_scaled(*spec.params), n)
+    return _five_term_residual(lambda k: make_member(spec, k), n, nums, den)
 
 
 def recurrence_residual_L(q, r, n: int) -> Poly:
     """Laguerre-side counterpart of :func:`recurrence_residual_P`."""
     spec = script_l(q, r)
-    return _five_term_residual(lambda k: make_member(spec, k), phi_L(q, r, n), n)
+    return _five_term_residual(lambda k: make_member(spec, k), n, _phi_L_at(spec, n))
 
 
 def generate_P_by_recurrence(a, b, c, N: int) -> list[Poly]:
@@ -199,15 +196,16 @@ def generate_P_by_recurrence(a, b, c, N: int) -> list[Poly]:
     a, b, c = script_p(a, b, c).params
     if N < 0:
         raise ValueError("generation length must be nonnegative")
+    scaled = _scaled(a, b, c)
     out = [Poly([1])]
     for n in range(N):
-        phi = phi_P(a, b, c, n)
-        if phi.phi4 == 0:
+        nums, _ = _phi_P_nums(*scaled, n)  # phi1..phi6 times one scale, which cancels
+        if nums[3] == 0:
             raise DomainError(f"phi4 vanishes at n={n} (a+b={a + b}); "
                               "the recurrence cannot be solved for the next member")
         # The residual with y_{n+1} read as zero is every term but phi4 y_{n+1}.
-        rest = _five_term_residual(lambda k: out[k] if k <= n else Poly(), phi, n)
-        out.append(rest * (Fraction(-1) / phi.phi4))
+        rest = _five_term_residual(lambda k: out[k] if k <= n else Poly(), n, nums)
+        out.append(rest * Fraction(-1, nums[3]))
     return out
 
 
@@ -234,8 +232,7 @@ def psi_P(a, b, c, n: int) -> PsiCoeffs:
 
     with s = a + b.
     """
-    a, b, c = script_p(a, b, c).params
-    nums, den = _psi_P_nums(*_scaled(a, b, c), n)
+    nums, den = _psi_P_nums(*_scaled(*script_p(a, b, c).params), n)
     return PsiCoeffs(*(Fraction(v, den) for v in nums))
 
 
@@ -256,8 +253,7 @@ def psi_consistency(a, b, c, n: int) -> tuple[Fraction, Fraction, Fraction, Frac
     with s = a + b.  They are evaluated in ints, with every factor times L
     as in ``_phi_P_nums``.
     """
-    a, b, c = script_p(a, b, c).params
-    A, B, C, L = _scaled(a, b, c)
+    A, B, C, L = _scaled(*script_p(a, b, c).params)
     (_, p2, p3, p4, p5, p6), den = _psi_P_nums(A, B, C, L, n)
     S = A + B
     a0, c0 = A + n * L, C + n * L                  # a+n, c+n

@@ -782,6 +782,25 @@ def test_cli_golden_bytes(capsys, name, fmt):
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == GOLDEN[(name, fmt)]
 
 
+# SHA-256 of the JSON stdout of three residual sweeps at nmax 60, recorded
+# while the residuals were still sums of Poly products and derivatives; the
+# integer band passes must print the same bytes.
+RESIDUAL_SWEEPS = {
+    "verify pencil --family boldP --a 1/2 --b 2 --cs 3,2,4 --nmax 60":
+        "6f65802b09839b219d3afe514898812f9e80608aa71140962a2bd21bd06c1ead",
+    "verify ode3 --family scriptP --a 1/2 --b 1 --c 2 --nmax 60":
+        "3d65303d21946797602be71a742f992fe4a6283762d527b1c921297c5582630a",
+    "verify recurrence --family scriptP --a 1/2 --b 1 --c 2 --nmax 60":
+        "455dff14582c5e97add95802227b88fd7874e545803e94df165cc250e5c9b916",
+}
+
+
+@pytest.mark.parametrize("command", sorted(RESIDUAL_SWEEPS))
+def test_residual_sweep_bytes(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split(), "--format", "json")
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == (RESIDUAL_SWEEPS[command], 0)
+
+
 def test_golden_cases_cover_every_subcommand():
     covered = {tuple(argv[:2]) if argv[0] != "coeffs" else ("coeffs",)
                for argv in GOLDEN_CASES.values()}

@@ -1,11 +1,15 @@
 """Differential operators: application, composition, lowering, pencils, ODEs."""
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import sobhyp.diffop
+import sobhyp.recurrence
 from sobhyp.diffop import (
     DiffOp,
     compose,
@@ -26,6 +30,7 @@ from sobhyp.families import (
     script_l,
     script_p,
 )
+from sobhyp.recurrence import phi_L, phi_P, recurrence_residual_L, recurrence_residual_P
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
 polys = st.lists(rationals, max_size=6).map(Poly)
@@ -75,6 +80,13 @@ def test_make_D_xi_preserves_degree():
 @given(ops, ops, polys)
 def test_compose_agrees_with_sequential_application(outer, inner, y):
     assert compose(outer, inner)(y) == outer(inner(y))
+
+
+def test_pickle_and_copy_keep_the_operator():
+    op = compose(laguerre_operator(F(3, 2))[0], composed_lowering([2, 3]))
+    y = Poly([1, F(2, 3), -5, F(1, 7)])
+    for clone in (pickle.loads(pickle.dumps(op)), copy.copy(op), copy.deepcopy(op)):
+        assert clone == op and clone(y) == op(y)
 
 
 def test_compose_example():
@@ -200,3 +212,110 @@ def test_ode3_residual_detects_wrong_member():
     )
     assert not manual.is_zero
     assert resid(spec, 5).is_zero and not manual == resid(spec, 5)
+
+
+# --- reference forms ----------------------------------------------------------
+#
+# Each identity residual is one integer pass over band weights.  The forms
+# below build the same residuals as sums of Poly products and derivatives,
+# term by term, and the passes must give the same Poly, field for field.
+
+
+def _apply_by_products(op, y):
+    """sum_k c_k (d^k y), one Poly product and sum per term."""
+    out = Poly()
+    for k, ck in enumerate(op.coeffs):
+        if not ck.is_zero:
+            out = out + ck * y.derivative(k)
+    return out
+
+
+def _same(got, want):
+    return (got.nums, got.den) == (want.nums, want.den)
+
+
+coefficient_polys = st.lists(rationals, max_size=4).map(Poly)  # the empty list is zero
+
+
+@given(st.lists(coefficient_polys, max_size=6).map(lambda cs: DiffOp(tuple(cs))), polys)
+@example(DiffOp((Poly(), Poly(), Poly(), Poly([1, F(2, 3)]))), Poly([3, 1]))  # order > degree
+@example(DiffOp((Poly([F(1, 2)]), Poly(), Poly([0, -1]))), Poly())  # zero y
+@example(DiffOp(()), Poly([1, 2]))  # the zero operator
+def test_apply_matches_products_and_derivatives(op, y):
+    assert _same(op(y), _apply_by_products(op, y))
+
+
+def _pencil_by_products(spec, n, y):
+    if spec.kind in ("scriptL", "boldL"):
+        (op, eig), orders = laguerre_operator(spec.params[0]), spec.params[1:]
+    else:
+        (op, eig), orders = jacobi_operator(*spec.params[:2]), spec.params[2:]
+    u = y
+    for r in map(int, orders):  # D_r u = (x^(r-1) u)^((r-1))
+        u = (Poly.monomial(r - 1) * u).derivative(r - 1)
+    return _apply_by_products(op, u) - eig(n) * u
+
+
+def _ode3_by_products(spec, n, y):
+    if spec.kind == "scriptL":
+        q, r = spec.params
+        lam = n
+        coeffs = [[q * r, lam - 2], [0, q + r + 1, -1], [0, 0, 1]]
+    else:
+        a, b, c = spec.params
+        lam = n * (n + a + b - 1)
+        coeffs = [[a * c, lam - 2 * (a + b)], [0, a + c + 1, -(a + b + 3)], [0, 0, 1, -1]]
+    return _apply_by_products(DiffOp((Poly([lam]), *map(Poly, coeffs))), y)
+
+
+def _recurrence_by_products(spec, n, member):
+    phi = (phi_L if spec.kind == "scriptL" else phi_P)(*spec.params, n)
+    x = Poly.monomial(1)
+    ym2 = member(spec, n - 2) if n >= 2 else Poly()
+    ym1 = member(spec, n - 1) if n >= 1 else Poly()
+    yn, yp1 = member(spec, n), member(spec, n + 1)
+    return (phi.phi1 * ym2 + phi.phi2 * ym1 + phi.phi3 * yn + phi.phi4 * yp1
+            + phi.phi5 * (x * ym1) + phi.phi6 * (x * yn))
+
+
+def _perturbed(spec, n):
+    """The member with one coefficient moved, a different one for each n."""
+    return make_member(spec, n) + Poly.monomial((5 * n + 2) % (n + 1), F(1, n + 7))
+
+
+SCRIPT_SPECS = [script_l(F(1, 2), 3), script_l(F(7, 3), 1), script_p(F(1, 2), F(2, 3), 2),
+                script_p(F(3), F(5, 4), 1), script_p(F(2, 5), F(1, 3), 4)]
+BOLD_SPECS = [bold_l(F(2, 3), []), bold_l(F(1, 3), [2]), bold_l(F(3, 2), [2, 3]),
+              bold_l(F(5, 4), [3, 1, 2]), bold_p(F(1, 2), F(3, 5), []), bold_p(F(1, 3), F(2), [2]),
+              bold_p(F(2), F(1, 2), [3, 2]), bold_p(F(1, 2), F(2), [3, 2, 4])]
+
+
+@pytest.fixture
+def perturbed_members(monkeypatch):
+    monkeypatch.setattr(sobhyp.diffop, "make_member", _perturbed)
+    monkeypatch.setattr(sobhyp.recurrence, "make_member", _perturbed)
+
+
+@pytest.mark.parametrize("spec", SCRIPT_SPECS + BOLD_SPECS, ids=str)
+def test_pencil_pass_matches_products_on_perturbed_members(perturbed_members, spec):
+    for n in range(10):
+        got = pencil_residual(spec, n)
+        assert _same(got, _pencil_by_products(spec, n, _perturbed(spec, n))), n
+        assert n == 0 or not got.is_zero, n
+
+
+@pytest.mark.parametrize("spec", SCRIPT_SPECS, ids=str)
+def test_ode3_pass_matches_products_on_perturbed_members(perturbed_members, spec):
+    for n in range(10):
+        got = ode3_residual(spec, n)
+        assert _same(got, _ode3_by_products(spec, n, _perturbed(spec, n))), n
+        assert n == 0 or not got.is_zero, n  # every constant solves the n = 0 equation
+
+
+@pytest.mark.parametrize("spec", SCRIPT_SPECS, ids=str)
+def test_recurrence_pass_matches_products_on_perturbed_members(perturbed_members, spec):
+    residual = recurrence_residual_L if spec.kind == "scriptL" else recurrence_residual_P
+    for n in range(10):
+        got = residual(*spec.params, n)
+        assert _same(got, _recurrence_by_products(spec, n, _perturbed)), n
+        assert not got.is_zero, n

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sobhyp.exactnum import Poly
-from sobhyp.families import make_member, script_p
+from sobhyp.families import FamilySpec, make_member, script_p
 from sobhyp.recurrence import (
     DomainError,
     generate_P_by_recurrence,
@@ -121,6 +121,21 @@ def test_generation_matches_direct_construction():
         assert len(got) == 13
         for k, poly in enumerate(got):
             assert poly == make_member(spec, k), (a, b, c, k)
+
+
+@pytest.mark.parametrize("func,args", [
+    (generate_P_by_recurrence, (F(1, 2), F(3), F(2), 8)),
+    (recurrence_residual_P, (F(1, 2), F(3), F(2), 4)),
+    (recurrence_residual_L, (F(2, 3), F(3), 4)),
+])
+def test_each_call_validates_its_parameters_once(monkeypatch, func, args):
+    # One FamilySpec per call, however many indices the call runs over.
+    built = []
+    check = FamilySpec.__post_init__
+    monkeypatch.setattr(FamilySpec, "__post_init__",
+                        lambda spec: (built.append(spec), check(spec)))
+    func(*args)
+    assert len(built) == 1
 
 
 def test_generation_blocked_on_degenerate_boundary():

@@ -214,29 +214,18 @@ def _integral_rep_cells(args, spec: FamilySpec, n: int) -> list:
 
 _RESIDUAL_COLUMNS = ["n", "residual_max_coeff", "ok"]
 
-# Subject -> (help, allowed families, columns, cells(args, spec, n), extra
-# params) for the verify subjects with one row per index n = 0..nmax.  The
-# lambdas look their function up at call time, so a wrapper installed on the
-# module-level name is honoured.
-_INDEX_SUBJECTS = {
-    "ode3": ("third-order differential equation residuals", _SCRIPT_FAMILIES, _RESIDUAL_COLUMNS,
-             lambda args, spec, n: _residual_cells(ode3_residual(spec, n)), ()),
-    "pencil": ("operator-pencil eigenfunction residuals", _ALL_FAMILIES, _RESIDUAL_COLUMNS,
-               lambda args, spec, n: _residual_cells(pencil_residual(spec, n)), ()),
-    "recurrence": ("five-polynomial recurrence residuals", _SCRIPT_FAMILIES, _RESIDUAL_COLUMNS,
-                   lambda args, spec, n: _residual_cells(_recurrence_residual(spec, n)), ()),
-    "integral-rep": ("integral representation vs direct evaluation", _SCRIPT_FAMILIES,
-                     ["n", "direct", "integral", "abs_err", "ok"], _integral_rep_cells,
-                     ("z", "tol")),
-}
+def _indexed(allowed, columns, cells, extra=()):
+    """The handler of a verify subject with one row per index n = 0..nmax: the
+    row is n and ``cells(args, spec, n)``, and ``extra`` names the flags that
+    join the params record."""
 
+    def handler(args):
+        spec, params = _family_from_args(args, allowed)
+        rows = [[n, *cells(args, spec, n)] for n in range(args.nmax + 1)]
+        params.update({"nmax": args.nmax, **{name: getattr(args, name) for name in extra}})
+        return _index_result(args.subject, params, columns, rows)
 
-def _cmd_verify_indexed(args):
-    _, allowed, columns, cells, extra = _INDEX_SUBJECTS[args.subject]
-    spec, params = _family_from_args(args, allowed)
-    rows = [[n, *cells(args, spec, n)] for n in range(args.nmax + 1)]
-    params.update({"nmax": args.nmax, **{name: getattr(args, name) for name in extra}})
-    return _index_result(args.subject, params, columns, rows)
+    return handler
 
 
 def _index_result(subject: str, params: dict, columns: list, rows: list):
@@ -389,96 +378,162 @@ def _render(doc: dict, fmt: str) -> str:
 # --- parser ----------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sobhyp",
-        description="Hypergeometric Sobolev orthogonal polynomial families: "
-                    "exact coefficients, identity verification, numeric tables.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    leaves = []
+# Each function adds one leaf's flags, in help-screen order; the family,
+# member and indexed sets are shared.
 
-    def leaf(group, name, handler, **kwargs) -> argparse.ArgumentParser:
-        p = group.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
-        leaves.append(p)
-        return p
 
-    family = argparse.ArgumentParser(add_help=False)
-    family.add_argument("--family", required=True, choices=_ALL_FAMILIES)
+def _family_flags(p):
+    p.add_argument("--family", required=True, choices=_ALL_FAMILIES)
     for name in _HEAD_FLAGS:
-        family.add_argument(f"--{name}", type=_rational)
-    family.add_argument("--rs", type=_rational_list, metavar="R1,R2,...")
-    family.add_argument("--cs", type=_rational_list, metavar="C1,C2,...")
-    member = argparse.ArgumentParser(add_help=False, parents=[family])
-    member.add_argument("--n", type=int, required=True)
-    indexed = argparse.ArgumentParser(add_help=False, parents=[family])
-    indexed.add_argument("--nmax", type=_nonnegative_int, required=True)
+        p.add_argument(f"--{name}", type=_rational)
+    p.add_argument("--rs", type=_rational_list, metavar="R1,R2,...")
+    p.add_argument("--cs", type=_rational_list, metavar="C1,C2,...")
 
-    leaf(sub, "coeffs", _cmd_coeffs, help="exact coefficients of one family member",
-         parents=[member])
 
-    verify = sub.add_parser("verify", help="re-derive identities over an index range")
-    vsub = verify.add_subparsers(dest="subject", required=True)
+def _member_flags(p):
+    _family_flags(p)
+    p.add_argument("--n", type=int, required=True)
 
-    leaf(vsub, "orthogonality", _cmd_verify_orthogonality,
-         help="exact Sobolev orthogonality with diagonal values", parents=[indexed])
-    for subject, entry in _INDEX_SUBJECTS.items():
-        leaf(vsub, subject, _cmd_verify_indexed, help=entry[0], parents=[indexed])
 
-    p = vsub.choices["integral-rep"]
+def _indexed_flags(p):
+    _family_flags(p)
+    p.add_argument("--nmax", type=_nonnegative_int, required=True)
+
+
+def _integral_rep_flags(p):
+    _indexed_flags(p)
     p.add_argument("--z", type=_finite_float, required=True, help="evaluation point")
     p.add_argument("--points", type=int, default=None, help="quadrature points override")
     p.add_argument("--tol", type=_nonnegative_float, default=1e-10)
 
-    p = leaf(vsub, "limit", _cmd_verify_limit, help="large-b limit of the Jacobi-side family")
+
+def _limit_flags(p):
     p.add_argument("--q", type=_rational, required=True)
     p.add_argument("--r", type=_rational, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--z", type=_rational, help="evaluation point (default 1)")
     p.add_argument("--b-values", type=_rational_list, metavar="B1,B2,...")
 
-    p = leaf(vsub, "psi", _cmd_verify_psi, help="scaled-coefficient linear identities")
+
+def _psi_flags(p):
     for name in ("a", "b", "c"):
         p.add_argument(f"--{name}", type=_rational, required=True)
     p.add_argument("--nmax", type=_nonnegative_int, required=True)
 
-    table = sub.add_parser("table", help="numeric data tables")
-    tsub = table.add_subparsers(dest="what", required=True)
 
-    leaf(tsub, "roots", _cmd_table_roots, help="all roots of one member", parents=[member])
-    p = leaf(tsub, "eval-grid", _cmd_table_eval_grid, help="member values on an x grid",
-             parents=[member])
+def _eval_grid_flags(p):
+    _member_flags(p)
     p.add_argument("--x-range", type=_rational_range, required=True, metavar="LO:HI:COUNT")
 
-    p = leaf(tsub, "quad-rule", _cmd_table_quad_rule, help="Gauss rule nodes and weights")
+
+def _quad_rule_flags(p):
     p.add_argument("--weight", choices=["laguerre", "jacobi"], required=True)
     for name in ("q", "a", "b"):
         p.add_argument(f"--{name}", type=_rational)
     p.add_argument("--points", type=int, required=True)
 
-    p = leaf(tsub, "discriminant-grid", _cmd_table_discriminant_grid,
-             help="degree-2 discriminants over parameter grids")
+
+def _discriminant_grid_flags(p):
     p.add_argument("--family", required=True, choices=_SCRIPT_FAMILIES)
     for name in _HEAD_FLAGS:
         p.add_argument(f"--{name}-range", type=_rational_range, metavar="LO:HI:COUNT")
 
-    # The output flags come last on every leaf, so they close each help screen.
-    for p in leaves:
+
+# Command group -> (dest of its subcommand, help); () is the root.
+_GROUPS = {
+    (): ("command", None),
+    ("verify",): ("subject", "re-derive identities over an index range"),
+    ("table",): ("what", "numeric data tables"),
+}
+
+# Command path -> (handler, help, add_flags), one entry per leaf parser, in
+# help-screen order.  The residual lambdas look their function up at call
+# time, so a wrapper installed on the module-level name is honoured.
+_LEAVES = {
+    ("coeffs",): (_cmd_coeffs, "exact coefficients of one family member", _member_flags),
+    ("verify", "orthogonality"): (_cmd_verify_orthogonality,
+                                  "exact Sobolev orthogonality with diagonal values",
+                                  _indexed_flags),
+    ("verify", "ode3"): (
+        _indexed(_SCRIPT_FAMILIES, _RESIDUAL_COLUMNS,
+                 lambda args, spec, n: _residual_cells(ode3_residual(spec, n))),
+        "third-order differential equation residuals", _indexed_flags),
+    ("verify", "pencil"): (
+        _indexed(_ALL_FAMILIES, _RESIDUAL_COLUMNS,
+                 lambda args, spec, n: _residual_cells(pencil_residual(spec, n))),
+        "operator-pencil eigenfunction residuals", _indexed_flags),
+    ("verify", "recurrence"): (
+        _indexed(_SCRIPT_FAMILIES, _RESIDUAL_COLUMNS,
+                 lambda args, spec, n: _residual_cells(_recurrence_residual(spec, n))),
+        "five-polynomial recurrence residuals", _indexed_flags),
+    ("verify", "integral-rep"): (
+        _indexed(_SCRIPT_FAMILIES, ["n", "direct", "integral", "abs_err", "ok"],
+                 _integral_rep_cells, ("z", "tol")),
+        "integral representation vs direct evaluation", _integral_rep_flags),
+    ("verify", "limit"): (_cmd_verify_limit, "large-b limit of the Jacobi-side family",
+                          _limit_flags),
+    ("verify", "psi"): (_cmd_verify_psi, "scaled-coefficient linear identities", _psi_flags),
+    ("table", "roots"): (_cmd_table_roots, "all roots of one member", _member_flags),
+    ("table", "eval-grid"): (_cmd_table_eval_grid, "member values on an x grid",
+                             _eval_grid_flags),
+    ("table", "quad-rule"): (_cmd_table_quad_rule, "Gauss rule nodes and weights",
+                             _quad_rule_flags),
+    ("table", "discriminant-grid"): (_cmd_table_discriminant_grid,
+                                     "degree-2 discriminants over parameter grids",
+                                     _discriminant_grid_flags),
+}
+
+
+def _build_parser(path=None) -> argparse.ArgumentParser:
+    """The command tree with only the leaf at ``path``, or with every leaf when
+    ``path`` is None.
+
+    The root and group parsers take no flag but -h, so argparse hands a leaf
+    the same arguments in either tree.  A one-leaf tree still lists every
+    command in its usage lines, which an unrecognized argument prints, so its
+    errors read the same as well.
+    """
+    parser = argparse.ArgumentParser(
+        prog="sobhyp",
+        description="Hypergeometric Sobolev orthogonal polynomial families: "
+                    "exact coefficients, identity verification, numeric tables.",
+    )
+    subparsers = {}
+
+    def add_group(group, owner):
+        names = dict.fromkeys(leaf[len(group)] for leaf in _LEAVES if leaf[:len(group)] == group)
+        metavar = None if path is None else "{" + ",".join(names) + "}"
+        subparsers[group] = owner.add_subparsers(dest=_GROUPS[group][0], required=True,
+                                                 metavar=metavar)
+
+    add_group((), parser)
+    for leaf, (handler, help_text, add_flags) in _LEAVES.items():
+        if path not in (None, leaf):
+            continue
+        group = leaf[:-1]
+        if group not in subparsers:
+            add_group(group, subparsers[()].add_parser(group[0], help=_GROUPS[group][1]))
+        p = subparsers[group].add_parser(leaf[-1], help=help_text)
+        add_flags(p)
+        # The output flags come last on every leaf, so they close each help screen.
         p.add_argument("--format", choices=["text", "csv", "json"], default="text")
         p.add_argument("--out", metavar="PATH", default=None)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only a named leaf is built alone; help on the root or a group and a
+    # missing or unknown command get the whole tree.
+    leaf = next((p for p in (tuple(argv[:1]), tuple(argv[:2])) if p in _LEAVES), None)
+    args = _build_parser(leaf).parse_args(argv)
     try:
         params, results, passed = args.handler(args)
     except (PoleError, DomainError, ValueError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ConvergenceError) else 2
-    path = [getattr(args, dest) for dest in ("command", "subject", "what") if hasattr(args, dest)]
+    path = [getattr(args, dest) for dest, _ in _GROUPS.values() if hasattr(args, dest)]
     doc = {"command": " ".join(path), "params": params, "results": results, "pass": passed}
     rendered = _render(doc, args.format)
     if args.out:

@@ -8,8 +8,9 @@ Applying an operator is one int pass out[m + s] += sigma_s(m) y_m over the
 numerators of y, built as one Poly at the end; composing two convolves their
 bands.  The lowering operators D_r y = (x^(r-1) y)^((r-1)) and their products
 (``composed_lowering``) have one band; the classical operators
-(``laguerre_operator`` / ``jacobi_operator``) and the third-order equation,
-the series' term ratio in theta = x d/dx, have two.
+(``laguerre_operator`` / ``jacobi_operator``), the pencil residual with the
+lowering folded in, and the third-order equation, the series' term ratio in
+theta = x d/dx, have two.
 """
 
 from __future__ import annotations
@@ -146,8 +147,13 @@ def composed_lowering(rs: Sequence[int]) -> DiffOp:
 
 @lru_cache(maxsize=None)
 def _composed_lowering(orders: tuple[int, ...]) -> DiffOp:
-    lam = [(0, lambda m: prod(pochhammer(m + 1, r - 1) for r in orders))]
-    return _from_bands(lam, 1, sum(orders) - len(orders))
+    return _from_bands([(0, _lowering_band(orders))], 1, sum(orders) - len(orders))
+
+
+@lru_cache(maxsize=None)
+def _lowering_band(orders: tuple[int, ...]) -> Callable[[int], int]:
+    """The band lam(k) = prod_r (k+1)_(r-1) of the lowering over ``orders``, cached in k."""
+    return lru_cache(None)(lambda m: prod(pochhammer(m + 1, r - 1) for r in orders))
 
 
 def laguerre_operator(q) -> tuple[DiffOp, Callable[[int], Fraction]]:
@@ -166,12 +172,27 @@ def jacobi_operator(a, b) -> tuple[DiffOp, Callable[[int], Fraction]]:
 
 def pencil_residual(spec: FamilySpec, n: int) -> Poly:
     """L(D y_n) - lambda_n (D y_n) for the family's classical operator L: zero
-    exactly when the lowered member is a classical eigenfunction.  Two passes,
-    the lowering's band, then L's two bands with -lambda_n in band 0."""
+    exactly when the lowered member is a classical eigenfunction.
+
+    L x^k = k(k-1+w) x^(k-1) - e_k x^k and lambda_n = -e_n, with w = q and
+    e_k = k on the Laguerre side, w = a and e_k = k(k+a+b-1) on the Jacobi
+    side, and D x^k = lam(k) x^k.  So the residual is one two-band int pass
+    over the member, over the scale of the weight parameters:
+    sum_k [(k+1)(k+w) lam(k+1) y_(k+1) + (e_n - e_k) lam(k) y_k] x^k.
+    """
     head, orders = _weight_and_orders(spec)
-    op, eig = laguerre_operator(*head) if len(head) == 1 else jacobi_operator(*head)
-    u = composed_lowering(orders)(make_member(spec, n))
-    return DiffOp((op.coeffs[0] - eig(n), *op.coeffs[1:]))(u)
+    lam = _lowering_band(orders)
+    den = prod(v.denominator for v in head)
+    w = int(head[0] * den)
+    if len(head) == 1:
+        e = lambda k: k * den
+    else:
+        s = int((sum(head) - 1) * den)
+        e = lambda k: k * (k * den + s)
+    e_n = e(n)
+    bands = ((-1, lambda m: m * ((m - 1) * den + w) * lam(m)),
+             (0, lambda m: (e_n - e(m)) * lam(m)))
+    return _band_pass(make_member(spec, n), bands, den)
 
 
 def ode3_residual(spec: FamilySpec, n: int) -> Poly:

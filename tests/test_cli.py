@@ -864,3 +864,92 @@ def _parser_paths(parser, path=()):
 
 def test_help_screens_cover_every_parser():
     assert set(HELP_SCREENS) == set(_parser_paths(_build_parser()))
+
+
+# --- one-leaf parse -----------------------------------------------------------
+#
+# ``main`` builds only the leaf parser its argv names.  Each usage error must
+# read as it does from the whole tree, to the byte.
+
+# Leaf path -> (a valid argv tail ending in a required flag, a flag that
+# refuses "x" by type, the flag with a fixed choice or None).
+LEAF_ARGS = {
+    ("coeffs",): (["--family", "scriptL", "--q", "1", "--r", "2", "--n", "2"], "--n", "--family"),
+    ("verify", "orthogonality"): (["--family", "boldP", "--a", "1", "--b", "2", "--cs", "2,3",
+                                   "--nmax", "2"], "--nmax", "--family"),
+    ("verify", "ode3"): (["--family", "scriptL", "--q", "1", "--r", "2", "--nmax", "2"],
+                         "--nmax", "--family"),
+    ("verify", "pencil"): (["--family", "boldL", "--q", "1", "--rs", "2,3", "--nmax", "2"],
+                           "--rs", "--family"),
+    ("verify", "recurrence"): (["--family", "scriptP", "--a", "1", "--b", "2", "--c", "3",
+                                "--nmax", "2"], "--c", "--family"),
+    ("verify", "integral-rep"): (["--family", "scriptL", "--q", "1", "--r", "2", "--nmax", "2",
+                                  "--z", "1"], "--tol", "--family"),
+    ("verify", "limit"): (["--q", "2", "--r", "3", "--n", "3"], "--b-values", None),
+    ("verify", "psi"): (["--a", "1", "--b", "2", "--c", "3", "--nmax", "2"], "--a", None),
+    ("table", "roots"): (["--family", "scriptL", "--q", "1", "--r", "2", "--n", "2"],
+                         "--q", "--family"),
+    ("table", "eval-grid"): (["--family", "scriptL", "--q", "1", "--r", "2", "--n", "2",
+                              "--x-range", "0:1:3"], "--x-range", "--family"),
+    ("table", "quad-rule"): (["--weight", "jacobi", "--a", "1", "--b", "2", "--points", "3"],
+                             "--points", "--weight"),
+    ("table", "discriminant-grid"): (["--q-range", "1:2:2", "--r-range", "1:2:2",
+                                      "--family", "scriptL"], "--q-range", "--family"),
+}
+
+
+def _usage_errors():
+    """Per leaf: a missing required flag, an unknown flag, a bad choice, a bad type."""
+    for path, (tail, typed, choice) in LEAF_ARGS.items():
+        yield [*path, *tail[:-2]]
+        yield [*path, *tail, "--bogus"]
+        if choice:
+            i = tail.index(choice) + 1
+            yield [*path, *tail[:i], "nope", *tail[i + 1:]]
+        yield [*path, *tail, typed, "x"]
+
+
+def test_leaf_args_cover_every_leaf():
+    assert set(LEAF_ARGS) == set(HELP_SCREENS) - {(), ("verify",), ("table",)}
+
+
+def _exit_and_stderr(capsys, parse, argv):
+    with pytest.raises(SystemExit) as info:
+        parse(argv)
+    return info.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", list(_usage_errors()), ids=" ".join)
+def test_leaf_parse_usage_error_matches_the_whole_tree(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _exit_and_stderr(capsys, main, argv)
+    assert got == _exit_and_stderr(capsys, _build_parser().parse_args, argv)
+    assert got[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "pencil", "--family", "boldL", "--q", "2", "--rs", "2,3", "--nmax", "2"],
+    ["coeffs", "--family", "scriptL", "--q", "3", "--r", "3", "--n", "2"],
+])
+def test_main_builds_only_the_parsers_on_its_path(capsys, monkeypatch, argv):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(argv) == 0
+    path = argv[:2] if argv[0] == "verify" else argv[:1]
+    assert built == [" ".join(["sobhyp", *path[:i]]) for i in range(len(path) + 1)]
+
+
+def test_group_help_lists_every_subject(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--help"])
+    assert info.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for subject in ("orthogonality", "ode3", "pencil", "recurrence", "integral-rep", "limit",
+                    "psi"):
+        assert any(line.split()[:1] == [subject] for line in lines), subject

@@ -254,7 +254,7 @@ def _cmd_verify_limit(args):
     else:
         ratios = [e / e_next if e_next else None for e, e_next in zip(errors, errors[1:])]
         lo, hi = RATIO_WINDOW
-        passed = bool(ratios) and all(rr is not None and lo <= rr <= hi for rr in ratios)
+        passed = all(rr is not None and lo <= rr <= hi for rr in ratios)
     params = {
         "q": str(args.q),
         "r": str(args.r),
@@ -455,9 +455,9 @@ _LEAVES = {
                                   "exact Sobolev orthogonality with diagonal values",
                                   _indexed_flags),
     ("verify", "ode3"): (
-        _indexed(_SCRIPT_FAMILIES, _RESIDUAL_COLUMNS,
+        _indexed(_ALL_FAMILIES, _RESIDUAL_COLUMNS,
                  lambda args, spec, n: _residual_cells(ode3_residual(spec, n))),
-        "third-order differential equation residuals", _indexed_flags),
+        "hypergeometric differential equation residuals", _indexed_flags),
     ("verify", "pencil"): (
         _indexed(_ALL_FAMILIES, _RESIDUAL_COLUMNS,
                  lambda args, spec, n: _residual_cells(pencil_residual(spec, n))),
@@ -489,9 +489,9 @@ def _build_parser(path=None) -> argparse.ArgumentParser:
     ``path`` is None.
 
     The root and group parsers take no flag but -h, so argparse hands a leaf
-    the same arguments in either tree.  A one-leaf tree still lists every
-    command in its usage lines, which an unrecognized argument prints, so its
-    errors read the same as well.
+    the same arguments in either tree.  Each group's metavar spells every
+    command, so a one-leaf tree's usage lines, which an unrecognized argument
+    prints, and so its errors, read the same as well.
     """
     parser = argparse.ArgumentParser(
         prog="sobhyp",
@@ -502,9 +502,8 @@ def _build_parser(path=None) -> argparse.ArgumentParser:
 
     def add_group(group, owner):
         names = dict.fromkeys(leaf[len(group)] for leaf in _LEAVES if leaf[:len(group)] == group)
-        metavar = None if path is None else "{" + ",".join(names) + "}"
         subparsers[group] = owner.add_subparsers(dest=_GROUPS[group][0], required=True,
-                                                 metavar=metavar)
+                                                 metavar="{" + ",".join(names) + "}")
 
     add_group((), parser)
     for leaf, (handler, help_text, add_flags) in _LEAVES.items():

@@ -9,7 +9,7 @@ numerators of y, built as one Poly at the end; composing two convolves their
 bands.  The lowering operators D_r y = (x^(r-1) y)^((r-1)) and their products
 (``composed_lowering``) have one band; the classical operators
 (``laguerre_operator`` / ``jacobi_operator``), the pencil residual with the
-lowering folded in, and the third-order equation, the series' term ratio in
+lowering folded in, and the series' own equation, its term ratio in
 theta = x d/dx, have two.
 """
 
@@ -21,8 +21,8 @@ from functools import lru_cache
 from math import factorial, lcm, perm, prod
 from typing import Callable, Sequence
 
-from .exactnum import Poly, _poly, as_rational, pochhammer
-from .families import _LAYOUTS, SCRIPT_L, SCRIPT_P, FamilySpec, _series_params, make_member
+from .exactnum import Poly, _poly, _scaled, as_rational, pochhammer
+from .families import _LAYOUTS, FamilySpec, _series_params, make_member
 
 __all__ = [
     "DiffOp",
@@ -182,12 +182,11 @@ def pencil_residual(spec: FamilySpec, n: int) -> Poly:
     """
     head, orders = _weight_and_orders(spec)
     lam = _lowering_band(orders)
-    den = prod(v.denominator for v in head)
-    w = int(head[0] * den)
-    if len(head) == 1:
+    w, *b, den = _scaled(*head)  # (q) or (a, b), times den
+    if not b:
         e = lambda k: k * den
     else:
-        s = int((sum(head) - 1) * den)
+        s = w + b[0] - den  # a + b - 1
         e = lambda k: k * (k * den + s)
     e_n = e(n)
     bands = ((-1, lambda m: m * ((m - 1) * den + w) * lam(m)),
@@ -196,16 +195,18 @@ def pencil_residual(spec: FamilySpec, n: int) -> Poly:
 
 
 def ode3_residual(spec: FamilySpec, n: int) -> Poly:
-    """Residual of the third-order equation satisfied by the degree-n member.
+    """Residual of the differential equation satisfied by the degree-n member.
 
     It is the series' term ratio in theta = x d/dx: with upper and lower
-    parameters u, l -- (-n, 1 | q, r) for scriptL, (-n, n-1+a+b, 1 | a, c)
-    for scriptP -- the member solves [theta prod_l (theta+l-1) - x prod_u
-    (theta+u)] y = 0, and the residual, that image over x, is one two-band
+    parameters u, l -- (-n, 1, .., 1 | q, r1, .., rd) on the Laguerre side,
+    (-n, n-1+a+b, 1, .., 1 | a, c1, .., cd) on the Jacobi side -- the member
+    solves [theta prod_l (theta+l-1) - x prod_u (theta+u)] y = 0, of order
+    d + 2 for d slots, and the residual, that image over x, is one two-band
     int pass:  sum_k [(k+1) prod_l (k+l) y_(k+1) - prod_u (k+u) y_k] x^k.
-    For scriptL this is x^2 y''' + (q+r+1-x) x y'' + (qr - 2x) y' + n (x y' + y).
+    For scriptL (d = 1) it is x^2 y''' + (q+r+1-x) x y'' + (qr - 2x) y' + n (x y' + y).
+    The classical kinds, scaled zero-slot members, are refused.
     """
-    if spec.kind not in (SCRIPT_L, SCRIPT_P):
+    if spec.kind not in _LAYOUTS:
         raise ValueError(f"no third-order equation for family kind {spec.kind!r}")
     upper, lower = _series_params(spec, n)
     du, dl = prod(u.denominator for u in upper), prod(v.denominator for v in lower)

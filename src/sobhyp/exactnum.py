@@ -62,6 +62,12 @@ def pochhammer(c, k: int):
 _set = object.__setattr__
 
 
+def _scaled(*values) -> tuple[int, ...]:
+    """(N_1, ..., N_k, L) with values[i] = N_i / L, over the lcm L of the denominators."""
+    L = lcm(*[v.denominator for v in values])
+    return (*[v.numerator * (L // v.denominator) for v in values], L)
+
+
 def _poly(nums: list[int], den: int) -> "Poly":
     """The Poly with coefficients nums[k] / den (den > 0), in canonical form."""
     while nums and not nums[-1]:
@@ -90,9 +96,8 @@ class Poly:
     den: int
 
     def __new__(cls, coeffs: Iterable[Union[int, str, Fraction]] = ()):
-        cs = [as_rational(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in cs))
-        return _poly([c.numerator * (den // c.denominator) for c in cs], den)
+        *nums, den = _scaled(*map(as_rational, coeffs))
+        return _poly(nums, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")

@@ -18,9 +18,9 @@ raises DomainError there.
 
 A companion scaled system psi_k relates to phi_k by index-shift factors and
 satisfies four short linear identities; ``psi_consistency`` evaluates their
-residuals exactly.  The Jacobi-side phi, the psi and the residuals run in
-ints over one scale L, the lcm of the parameter denominators, and each
-returned value is the one Fraction built.
+residuals exactly.  Every phi, the psi and the residuals run in ints over
+one scale L, the lcm of the parameter denominators, and each returned value
+is the one Fraction built.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exactnum import Poly, _poly
-from .families import FamilySpec, make_member, script_l, script_p
+from .exactnum import Poly, _poly, _scaled
+from .families import make_member, script_l, script_p
 
 __all__ = [
     "DomainError",
@@ -70,38 +70,31 @@ class PsiCoeffs:
     psi6: Fraction
 
 
-def _scaled(a, b, c) -> tuple[int, int, int, int]:
-    """(A, B, C, L) with a = A/L, b = B/L, c = C/L over the lcm L of the denominators."""
-    L = lcm(a.denominator, b.denominator, c.denominator)
-    return (*(v.numerator * (L // v.denominator) for v in (a, b, c)), L)
+def _factors(A: int, B: int, C: int, L: int, n: int) -> tuple[int, ...]:
+    """The linear factors of the Jacobi-side closed forms at (A/L, B/L, C/L) and n,
+    each times L, as ints: a+n-j and c+n-j (j = 0, 1, 2), 2n+s-j (j = 0..4) and
+    n+s-j (j = 1, 2, 3), in that order, with s = a + b."""
+    a0, c0, g0 = A + n * L, C + n * L, A + B + n * L   # a+n, c+n, n+s
+    e0 = g0 + n * L                                    # 2n+s
+    return (a0, a0 - L, a0 - 2 * L, c0, c0 - L, c0 - 2 * L,
+            e0, e0 - L, e0 - 2 * L, e0 - 3 * L, e0 - 4 * L, g0 - L, g0 - 2 * L, g0 - 3 * L)
 
 
 def _phi_P_nums(A: int, B: int, C: int, L: int, n: int) -> tuple[tuple[int, ...], int]:
-    """phi1..phi6 at (A/L, B/L, C/L) and n >= 0, as six ints over one positive int.
-
-    Each linear factor of the closed forms is carried times L, as an int:
-    a + n + j is A + (n+j)L, n + s + j is (n+j)L + S and 2n + s + j is
-    (2n+j)L + S, with S = A + B.
-    """
+    """phi1..phi6 at (A/L, B/L, C/L) and n >= 0, as six ints over one positive int;
+    each linear factor is carried times L, as ``_factors`` gives it."""
     if n < 0:
         raise ValueError("recurrence index must be nonnegative")
-    S = A + B
-    a0, c0 = A + n * L, C + n * L                  # a+n, c+n
-    e1, e0 = (2 * n - 1) * L + S, 2 * n * L + S    # 2n+s-1, 2n+s
-    g1, g2, g3 = (n - 1) * L + S, (n - 2) * L + S, (n - 3) * L + S  # n+s-1, -2, -3
+    a0, a1, a2, c0, c1, c2, e0, e1, e2, d3, d4, g1, g2, g3 = _factors(A, B, C, L, n)
     if n == 0:
-        phi2, phi3, scale = 0, -A * C * (S - L) * (S - 2 * L), 1
-    elif n == 1:
-        bracket = (A + C + L) * L + (A + L) * (C + L)
-        phi2 = ((S - L) * (S + L) * bracket - 3 * A * C * (S + L) * L
-                - (A + L) * (C + L) * (S - L) * S)
-        phi3 = -(S + L) * (S - L) * bracket + 3 * A * C * (S + L) * L
+        phi2, phi3, scale = 0, -a0 * c0 * g1 * g2, 1
+    elif n == 1:  # here n+s-1 = s, n+s-2 = s-1 and 2n+s-1 = s+1
+        bracket = (A + C + L) * L + a0 * c0
+        phi2 = g2 * e1 * bracket - 3 * A * C * e1 * L - a0 * c0 * g2 * g1
+        phi3 = -e1 * g2 * bracket + 3 * A * C * e1 * L
         scale = 1
     else:
         # phi_P's n >= 2 forms over 2 L^4 d3 d4, where d3 = L (2n+s-3), d4 = L (2n+s-4).
-        d3, d4 = (2 * n - 3) * L + S, (2 * n - 4) * L + S
-        e2 = e1 - L                                # 2n+s-2
-        a1, c1, a2, c2 = a0 - L, c0 - L, a0 - 2 * L, c0 - 2 * L
         core = n * L * ((2 * n - 1) * L + A + C) + a0 * c0
         phi3 = -2 * d4 * e1 * g2 * (core * d3 - 3 * n * L * a1 * c1)
         phi2 = n * d3 * (
@@ -144,30 +137,36 @@ def phi_P(a, b, c, n: int) -> PhiCoeffs:
     return PhiCoeffs(*(Fraction(v, den) for v in nums))
 
 
-def phi_L(q, r, n: int) -> PhiCoeffs:
-    """Recurrence coefficients for the Laguerre-side family at index n."""
-    return PhiCoeffs(*_phi_L_at(script_l(q, r), n))
-
-
-def _phi_L_at(spec: FamilySpec, n: int) -> tuple[Fraction, ...]:
+def _phi_L_nums(Q: int, R: int, L: int, n: int) -> tuple[tuple[int, ...], int]:
+    """phi1..phi6 at (Q/L, R/L) and n >= 0, as six ints over L^2."""
     if n < 0:
         raise ValueError("recurrence index must be nonnegative")
-    q, r = spec.params
-    return (Fraction((n - 1) * n), -n * (3 * n + q + r - 2),
-            n * (2 * n + q + r - 1) + (n + q) * (n + r), -(n + q) * (n + r),
-            Fraction(n), Fraction(-(n + 1)))
+    qn, rn = Q + n * L, R + n * L                  # q+n, r+n
+    return ((n - 1) * n * L * L, -n * ((3 * n - 2) * L + Q + R) * L,
+            n * ((2 * n - 1) * L + Q + R) * L + qn * rn, -qn * rn,
+            n * L * L, -(n + 1) * L * L), L * L
+
+
+def phi_L(q, r, n: int) -> PhiCoeffs:
+    """Recurrence coefficients for the Laguerre-side family at index n:
+
+        phi1 = (n-1) n,  phi2 = -n(3n+q+r-2),  phi3 = n(2n+q+r-1) + (n+q)(n+r)
+        phi4 = -(n+q)(n+r),  phi5 = n,  phi6 = -(n+1)
+    """
+    nums, den = _phi_L_nums(*_scaled(*script_l(q, r).params), n)
+    return PhiCoeffs(*(Fraction(v, den) for v in nums))
 
 
 def _five_term_residual(member, n: int, phis, den: int = 1) -> Poly:
     """phi1 y_{n-2} + phi2 y_{n-1} + phi3 y_n + phi4 y_{n+1} + phi5 x y_{n-1} + phi6 x y_n,
-    with ``phis`` over ``den`` and members of negative index read as zero, as one int
-    pass: six numerator rows over one lcm, the two x rows shifted up by one."""
+    with ``phis`` ints over ``den`` and members of negative index read as zero, as one
+    int pass: six numerator rows over the members' lcm, the two x rows shifted up by one."""
     ys = [member(k) if k >= 0 else Poly() for k in range(n - 2, n + 2)]
     rows = (*zip(phis, ys, (0, 0, 0, 0)), (phis[4], ys[1], 1), (phis[5], ys[2], 1))
-    top = lcm(*(f.denominator * y.den for f, y, _ in rows))
+    top = lcm(*(y.den for y in ys))
     out = [0] * (1 + max(len(y.nums) for y in ys))
     for f, y, s in rows:
-        scale = f.numerator * (top // (f.denominator * y.den))
+        scale = f * (top // y.den)
         for k, v in enumerate(y.nums, s):
             out[k] += scale * v
     return _poly(out, top * den)
@@ -183,7 +182,8 @@ def recurrence_residual_P(a, b, c, n: int) -> Poly:
 def recurrence_residual_L(q, r, n: int) -> Poly:
     """Laguerre-side counterpart of :func:`recurrence_residual_P`."""
     spec = script_l(q, r)
-    return _five_term_residual(lambda k: make_member(spec, k), n, _phi_L_at(spec, n))
+    nums, den = _phi_L_nums(*_scaled(*spec.params), n)
+    return _five_term_residual(lambda k: make_member(spec, k), n, nums, den)
 
 
 def generate_P_by_recurrence(a, b, c, N: int) -> list[Poly]:
@@ -214,8 +214,7 @@ def _psi_P_nums(A: int, B: int, C: int, L: int, n: int) -> tuple[tuple[int, ...]
     if n < 2:
         raise DomainError("psi coefficients are defined for n >= 2")
     (f1, f2, f3, f4, f5, f6), den = _phi_P_nums(A, B, C, L, n)
-    S = A + B
-    g1, g2, g3 = (n - 1) * L + S, (n - 2) * L + S, (n - 3) * L + S  # n+s-1, -2, -3
+    *_, g1, g2, g3 = _factors(A, B, C, L, n)
     m = n - 1
     nums = (g3 * g2 * g1 * f1, g2 * g1 * L * m * f2, g1 * L * L * n * m * f3,
             L ** 3 * (n + 1) * n * m * f4, -g2 * g1 * L * m * f5, -g1 * L * L * n * m * f6)
@@ -251,16 +250,11 @@ def psi_consistency(a, b, c, n: int) -> tuple[Fraction, Fraction, Fraction, Frac
         psi5 (n+1)(a-1)(c-1) + psi6 (n+s-3)(a-1)(c-1)
 
     with s = a + b.  They are evaluated in ints, with every factor times L
-    as in ``_phi_P_nums``.
+    as ``_factors`` gives it.
     """
     A, B, C, L = _scaled(*script_p(a, b, c).params)
     (_, p2, p3, p4, p5, p6), den = _psi_P_nums(A, B, C, L, n)
-    S = A + B
-    a0, c0 = A + n * L, C + n * L                  # a+n, c+n
-    a1, c1, a2, c2 = a0 - L, c0 - L, a0 - 2 * L, c0 - 2 * L
-    e0, e1, e2 = 2 * n * L + S, (2 * n - 1) * L + S, (2 * n - 2) * L + S  # 2n+s, -1, -2
-    d3, d4 = (2 * n - 3) * L + S, (2 * n - 4) * L + S
-    g3 = (n - 3) * L + S                           # n+s-3
+    a0, a1, a2, c0, c1, c2, e0, e1, e2, d3, d4, _, _, g3 = _factors(A, B, C, L, n)
     r1 = p4 * e1 * e0 + p6 * a0 * c0
     r2 = p3 * d3 * e2 * L + p4 * d3 * e2 * e1 + p5 * a1 * c1 * L + p6 * d3 * a1 * c1
     r3 = (2 * p2 * d4 * L * L + 2 * p3 * d4 * d3 * L + p4 * d4 * d3 * e2

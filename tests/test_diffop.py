@@ -25,6 +25,8 @@ from sobhyp.exactnum import Poly, pochhammer
 from sobhyp.families import (
     bold_l,
     bold_p,
+    jacobi,
+    jacobi_shifted,
     laguerre,
     make_member,
     script_l,
@@ -189,8 +191,10 @@ def test_ode3_residual_is_zero():
 
 
 def test_ode3_rejects_other_kinds():
-    with pytest.raises(ValueError):
-        ode3_residual(bold_l(1, [2]), 3)
+    # The classical kinds are scaled series, not series of their own.
+    for spec in (laguerre(F(1, 2)), jacobi(1, 2), jacobi_shifted(F(3, 2), 1)):
+        with pytest.raises(ValueError, match="no third-order equation"):
+            ode3_residual(spec, 3)
 
 
 def test_ode3_residual_detects_wrong_member():
@@ -268,6 +272,26 @@ def _ode3_by_products(spec, n, y):
     return _apply_by_products(DiffOp((Poly([lam]), *map(Poly, coeffs))), y)
 
 
+def _theta_form_by_products(spec, n, y):
+    """[theta prod_l (theta+l-1) - x prod_u (theta+u)] y over x, with theta y = x y' and
+    the series' upper and lower parameters u, l written out here."""
+    if spec.kind in ("scriptL", "boldL"):
+        q, *rs = spec.params
+        upper, lower = [-n, *[1] * len(rs)], [q, *rs]
+    else:
+        a, b, *cs = spec.params
+        upper, lower = [-n, n - 1 + a + b, *[1] * len(cs)], [a, *cs]
+    x = Poly.monomial(1)
+    left, right = x * y.derivative(), y
+    for v in lower:
+        left = x * left.derivative() + (v - 1) * left
+    for u in upper:
+        right = x * right.derivative() + u * right
+    image = left - x * right
+    assert image.coefficient(0) == 0
+    return Poly(image.coeffs[1:])
+
+
 def _recurrence_by_products(spec, n, member):
     phi = (phi_L if spec.kind == "scriptL" else phi_P)(*spec.params, n)
     x = Poly.monomial(1)
@@ -288,6 +312,9 @@ SCRIPT_SPECS = [script_l(F(1, 2), 3), script_l(F(7, 3), 1), script_p(F(1, 2), F(
 BOLD_SPECS = [bold_l(F(2, 3), []), bold_l(F(1, 3), [2]), bold_l(F(3, 2), [2, 3]),
               bold_l(F(5, 4), [3, 1, 2]), bold_p(F(1, 2), F(3, 5), []), bold_p(F(1, 3), F(2), [2]),
               bold_p(F(2), F(1, 2), [3, 2]), bold_p(F(1, 2), F(2), [3, 2, 4])]
+# Weights whose denominators share a factor, so that their lcm is less than their product.
+SHARED_DENOMINATOR_SPECS = [bold_p(F(1, 2), F(3, 4), [2]), script_p(F(5, 6), F(3, 4), 3),
+                            bold_p(F(1, 6), F(2, 9), []), bold_p(F(3, 4), F(5, 4), [2, 3])]
 
 
 @pytest.fixture
@@ -296,7 +323,7 @@ def perturbed_members(monkeypatch):
     monkeypatch.setattr(sobhyp.recurrence, "make_member", _perturbed)
 
 
-@pytest.mark.parametrize("spec", SCRIPT_SPECS + BOLD_SPECS, ids=str)
+@pytest.mark.parametrize("spec", SCRIPT_SPECS + BOLD_SPECS + SHARED_DENOMINATOR_SPECS, ids=str)
 def test_pencil_pass_matches_products_on_perturbed_members(perturbed_members, spec):
     for n in range(10):
         got = pencil_residual(spec, n)
@@ -304,11 +331,13 @@ def test_pencil_pass_matches_products_on_perturbed_members(perturbed_members, sp
         assert n == 0 or not got.is_zero, n
 
 
-@pytest.mark.parametrize("spec", SCRIPT_SPECS, ids=str)
+@pytest.mark.parametrize("spec", SCRIPT_SPECS + BOLD_SPECS, ids=str)
 def test_ode3_pass_matches_products_on_perturbed_members(perturbed_members, spec):
     for n in range(10):
-        got = ode3_residual(spec, n)
-        assert _same(got, _ode3_by_products(spec, n, _perturbed(spec, n))), n
+        got, y = ode3_residual(spec, n), _perturbed(spec, n)
+        assert _same(got, _theta_form_by_products(spec, n, y)), n
+        if spec.kind in ("scriptL", "scriptP"):
+            assert _same(got, _ode3_by_products(spec, n, y)), n
         assert n == 0 or not got.is_zero, n  # every constant solves the n = 0 equation
 
 

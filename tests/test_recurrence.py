@@ -191,6 +191,11 @@ def test_phi4_nonzero_off_degenerate_slices():
 # --- the closed forms as Fraction arithmetic, the reference for the int forms -----
 
 
+def _phi_L_fractions(q, r, n):
+    return (F((n - 1) * n), -n * (3 * n + q + r - 2),
+            n * (2 * n + q + r - 1) + (n + q) * (n + r), -(n + q) * (n + r), F(n), F(-(n + 1)))
+
+
 def _phi_P_fractions(a, b, c, n):
     s = a + b
     if n == 0:
@@ -286,3 +291,25 @@ def test_int_forms_match_the_fraction_forms_on_a_seeded_grid():
 )
 def test_int_forms_match_the_fraction_forms_property(params, n):
     _assert_matches_the_fraction_forms(*params, n)
+
+
+def _assert_phi_L_matches_the_fraction_forms(q, r, n):
+    f = phi_L(q, r, n)
+    got = (f.phi1, f.phi2, f.phi3, f.phi4, f.phi5, f.phi6)
+    assert got == _phi_L_fractions(q, r, n)
+    assert all(type(v) is F for v in got)
+
+
+def test_phi_L_int_form_matches_the_fraction_forms_on_a_seeded_grid():
+    for q, r, _ in _rational_grid(2019, 40):
+        for n in range(0, 13):
+            _assert_phi_L_matches_the_fraction_forms(q, r, n)
+
+
+@given(
+    st.tuples(*[st.fractions(min_value=0, max_value=40, max_denominator=60)
+                .filter(lambda v: v > 0)] * 2),
+    st.integers(0, 40),
+)
+def test_phi_L_int_form_matches_the_fraction_forms_property(params, n):
+    _assert_phi_L_matches_the_fraction_forms(*params, n)

@@ -174,6 +174,11 @@ def integral_rep_check(
     rule for the normalized weight (r-1)(1-t)^(r-2), exact for the
     polynomial integrand, so the two returned floats should agree to
     rounding error.  Needs r > 1 (resp. c > 1) for integrability.
+
+    Both sides are exact until one rounding each: the member is evaluated at
+    the binary value of z, and the average is the integer rule sum of
+    ``sobolev._exact_rule_sum`` over y0_n(z t_i), rounded once by an int / int
+    division.
     """
     if n < 0:
         raise ValueError("member index must be nonnegative")
@@ -192,7 +197,7 @@ def integral_rep_check(
     # binary values of z and of the nodes, so the residual between the two
     # returns reflects the rule's accuracy, not evaluation rounding.
     zf = Fraction(z)
-    return float(make_member(spec, n)(zf)), _exact_rule_sum(rule, lambda t: zero_slot(zf * t))
+    return float(make_member(spec, n)(zf)), _exact_rule_sum(rule, zero_slot, point=zf)
 
 
 def limit_check(q, r, n: int, x, b_values: Sequence) -> list[float]:

@@ -68,6 +68,19 @@ def _scaled(*values) -> tuple[int, ...]:
     return (*[v.numerator * (L // v.denominator) for v in values], L)
 
 
+def _horner(nums, p: int, q: int) -> tuple[int, int]:
+    """(acc, q^d) with acc / q^d = sum_k nums[k] (p/q)^k, for d = max(len(nums) - 1, 0).
+
+    Horner's rule in ints: acc = sum_k nums[k] p^k q^(d-k), no gcd taken.
+    """
+    terms = reversed(nums)
+    acc, scale = next(terms, 0), 1
+    for n in terms:
+        scale *= q
+        acc = acc * p + n * scale
+    return acc, scale
+
+
 def _poly(nums: list[int], den: int) -> "Poly":
     """The Poly with coefficients nums[k] / den (den > 0), in canonical form."""
     while nums and not nums[-1]:
@@ -232,12 +245,7 @@ class Poly:
         """
         nums = self.nums
         if isinstance(x, (int, Fraction)):
-            p, q = x.numerator, x.denominator
-            terms = reversed(nums)
-            acc, scale = next(terms, 0), 1
-            for n in terms:
-                scale *= q
-                acc = acc * p + n * scale
+            acc, scale = _horner(nums, x.numerator, x.denominator)
             return Fraction(acc, self.den * scale)
         if isinstance(x, Poly):
             result = Poly()

@@ -14,7 +14,11 @@ classical densities
 Because moments are exact rationals, the inner product of exact polynomials
 is an exact rational; the quadrature route recomputes it through a Gauss
 rule (float nodes and weights, integrand evaluated exactly at them) and
-exists purely as an independent cross-check.
+exists purely as an independent cross-check.  Every float node and weight
+is a dyadic rational, so the rule sum sum_i w_i f(x_i) runs in Python ints:
+integer Horner at each node's binary value, every term shifted onto one
+power-of-two denominator, and one correctly rounded int / int division at
+the end (see ``_exact_rule_sum``).
 
 The exact route is a Gram matrix over the moment Hankel matrix (Gautschi,
 *Orthogonal Polynomials: Computation and Approximation*, 2004, section 2.1).
@@ -42,7 +46,7 @@ from math import factorial, prod
 from operator import mul
 
 from .diffop import DiffOp, _weight_and_orders, composed_lowering
-from .exactnum import Poly, as_rational, pochhammer
+from .exactnum import Poly, _horner, as_rational, pochhammer
 from .families import FamilySpec, make_member
 
 __all__ = [
@@ -327,20 +331,45 @@ def gauss_rule(weight: WeightSpec, npoints: int) -> QuadRule:
     sub = [math.sqrt(b) for b in beta[1:]]
     nodes, firsts = _ql_implicit(alpha, sub)
     weights = [f * f for f in firsts]  # total mass is 1 for normalized weights
-    if any(w <= 0.0 for w in weights):
-        raise ConvergenceError("quadrature produced a nonpositive weight")
+    # f * f is never negative, so a nonpositive weight is one whose true value
+    # lies below the float64 range (the far Laguerre nodes carry e^-x).
+    zeros = sum(w <= 0.0 for w in weights)
+    if zeros:
+        raise ConvergenceError(
+            f"quadrature produced a nonpositive weight: {zeros} of {npoints} weights"
+            " underflowed to zero in float64"
+        )
     return QuadRule(weight, tuple(nodes), tuple(weights))
 
 
-def _exact_rule_sum(rule: QuadRule, integrand) -> float:
-    """sum_i w_i f(x_i) over the rule, rounded once.
+def _exact_rule_sum(rule: QuadRule, *polys: Poly, point: Fraction = Fraction(1)) -> float:
+    """sum_i w_i prod_j polys[j](point * x_i) over the rule, rounded once.
 
-    Each node and weight enters at its exact binary value, ``integrand``
-    maps an exact point to an exact value, and the sum stays a Fraction
-    until the single rounding at the end.
+    Nodes and weights are floats, so each is a dyadic rational:
+    x_i = a_i / 2^e_i and w_i = b_i / 2^f_i from ``float.as_integer_ratio``.
+    With point = P/Q, each polynomial is evaluated by integer Horner at
+    P a_i / (Q 2^e_i), which leaves it over den_j Q^d_j 2^(e_i d_j).  With
+    d = sum d_j, term i is then an int over den Q^d 2^(f_i + e_i d), where
+    den = prod den_j; a left shift puts every term over den Q^d 2^E, E the
+    largest of those exponents, and the sum is one int over that
+    denominator.  Its one rounding is a single int / int true division,
+    which is correctly rounded, so the float equals ``float`` of the same
+    rational built from Fractions.  No Fraction is built and no gcd taken.
     """
-    pairs = zip(rule.nodes, rule.weights)
-    return float(sum(Fraction(w) * integrand(Fraction(x)) for x, w in pairs))
+    P, Q = point.numerator, point.denominator
+    d = sum(max(len(f.nums) - 1, 0) for f in polys)
+    terms = []
+    for x, w in zip(rule.nodes, rule.weights):
+        a, two_e = x.as_integer_ratio()
+        b, two_f = w.as_integer_ratio()
+        e = two_e.bit_length() - 1
+        p, q = P * a, Q << e
+        for f in polys:
+            b *= _horner(f.nums, p, q)[0]
+        terms.append((b, two_f.bit_length() - 1 + e * d))
+    E = max(shift for _, shift in terms)
+    den = prod(f.den for f in polys) * Q**d
+    return sum(value << (E - shift) for value, shift in terms) / (den << E)
 
 
 def sobolev_inner_quadrature(
@@ -349,14 +378,15 @@ def sobolev_inner_quadrature(
     """<yn, ym> recomputed through a Gauss rule.
 
     The rule's nodes and weights are the float ingredient; the lowered
-    polynomials are evaluated exactly at ``Fraction(node)`` (the node's
-    exact binary value) and the weighted sum is accumulated as a rational
-    before the single final rounding.  Lowered members take small values
-    near the nodes while their coefficients are large, so float evaluation
-    would drown the comparison in cancellation noise; done this way the
-    residual against ``sobolev_inner_exact`` measures only the accuracy of
-    the computed rule, which with the default (exactness-matching) point
-    count is near machine precision.
+    polynomials are evaluated exactly at each node's binary value and the
+    weighted sum is accumulated as one integer over a power-of-two-aligned
+    denominator before the single final rounding (``_exact_rule_sum``), so
+    the result is ``float`` of the exact rational sum.  Lowered members take
+    small values near the nodes while their coefficients are large, so float
+    evaluation would drown the comparison in cancellation noise; done this
+    way the residual against ``sobolev_inner_exact`` measures only the
+    accuracy of the computed rule, which with the default
+    (exactness-matching) point count is near machine precision.
     """
     u = form.dop(yn)
     v = form.dop(ym)
@@ -364,4 +394,4 @@ def sobolev_inner_quadrature(
         return 0.0
     if npoints is None:
         npoints = (u.degree + v.degree) // 2 + 1
-    return _exact_rule_sum(gauss_rule(form.weight, npoints), lambda x: u(x) * v(x))
+    return _exact_rule_sum(gauss_rule(form.weight, npoints), u, v)

@@ -470,6 +470,16 @@ def test_table_quad_rule(capsys):
     assert rows[0][2] + rows[1][2] == pytest.approx(1.0, abs=1e-13)
 
 
+def test_table_quad_rule_underflow_exits_one(capsys):
+    code, out, err = run_cli(
+        capsys, "table", "quad-rule", "--weight", "laguerre", "--q", "1/2", "--points", "256"
+    )
+    assert code == 1
+    assert out == ""
+    assert "17 of 256 weights underflowed to zero in float64" in err
+    assert "Traceback" not in err
+
+
 def test_table_quad_rule_csv_shape(capsys):
     code, out, _ = run_cli(
         capsys, "table", "quad-rule", "--weight", "jacobi", "--a", "1", "--b", "1",

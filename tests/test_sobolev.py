@@ -11,6 +11,7 @@ from sobhyp.exactnum import Poly, pochhammer
 from sobhyp.families import bold_l, bold_p, make_member, script_l, script_p
 from sobhyp.diffop import composed_lowering, make_D_xi, pencil_residual
 from sobhyp.sobolev import (
+    ConvergenceError,
     OrthogonalityReport,
     QuadRule,
     WeightSpec,
@@ -276,6 +277,13 @@ def test_quad_rule_invariants():
 def test_gauss_rule_rejects_empty():
     with pytest.raises(ValueError):
         gauss_rule(laguerre_weight(1), 0)
+
+
+def test_gauss_rule_names_the_weights_that_underflow():
+    # The largest of the 256 Laguerre(1/2) nodes is about 988, and a weight
+    # near e^-988 is far below the smallest float64 (about 5e-324).
+    with pytest.raises(ConvergenceError, match="17 of 256 weights underflowed to zero in float64"):
+        gauss_rule(laguerre_weight(F(1, 2)), 256)
 
 
 def test_quadrature_matches_exact_inner_product():

@@ -145,14 +145,6 @@ def terminating_series(upper: Sequence, lower: Sequence, n: int) -> Poly:
     n = 0 (another upper parameter passing through zero) are legal.  A lower
     parameter equal to a nonpositive integer above -(n-1) would divide by
     zero inside the range and raises PoleError.
-
-    The loop runs in ints.  With u = p/d and l = p'/d' the term ratio
-    prod (u+k) / ((k+1) prod (l+k)) is N_k / M_k, where
-    N_k = prod (p + k d) prod d' and M_k = (k+1) prod (p' + k d') prod d.
-    Term k is then N_0...N_{k-1} M_k...M_{n-1} over M_0...M_{n-1}: a running
-    product of the N's times a suffix product of the M's, over one common
-    denominator.  A negative lower parameter can make that denominator
-    negative; every numerator then changes sign with it.
     """
     if n < 0:
         raise ValueError("series length must be nonnegative")
@@ -163,6 +155,20 @@ def terminating_series(upper: Sequence, lower: Sequence, n: int) -> Poly:
     for v in low:
         if v.denominator == 1 and 1 - n <= v <= 0:
             raise PoleError(f"lower parameter {v} is a pole within {n} terms")
+    return _series_terms(up, low, n)
+
+
+def _series_terms(up: Sequence, low: Sequence, n: int) -> Poly:
+    """Terms 0..n of ``terminating_series``' sum, which here need not end, as
+    one Poly; no lower parameter may be a pole among them.  The loop runs in
+    ints.  With u = p/d and l = p'/d' the term ratio
+    prod (u+k) / ((k+1) prod (l+k)) is N_k / M_k, where
+    N_k = prod (p + k d) prod d' and M_k = (k+1) prod (p' + k d') prod d.
+    Term k is then N_0...N_{k-1} M_k...M_{n-1} over M_0...M_{n-1}: a running
+    product of the N's times a suffix product of the M's, over one common
+    denominator.  A negative lower parameter can make that denominator
+    negative; every numerator then changes sign with it.
+    """
     up_scale = prod(u.denominator for u in up)
     low_scale = prod(v.denominator for v in low)
     suffix = [1] * (n + 1)  # suffix[k] = M_k ... M_{n-1}

@@ -11,29 +11,24 @@ classical densities
 * ``jacobi(a, b)``: x^(a-1) (1-x)^(b-1) / B(a, b)  on (0, 1),
   moments (a)_k / (a+b)_k.
 
-Because moments are exact rationals, the inner product of exact polynomials
-is an exact rational; the quadrature route recomputes it through a Gauss
-rule (float nodes and weights, integrand evaluated exactly at them) and
-exists purely as an independent cross-check.  Every float node and weight
-is a dyadic rational, so the rule sum sum_i w_i f(x_i) runs in Python ints:
-integer Horner at each node's binary value, every term shifted onto one
-power-of-two denominator, and one correctly rounded int / int division at
-the end (see ``_exact_rule_sum``).
+The moments are terms of one hypergeometric series, (q)_k (1)_k / k! or
+(a)_k (1)_k / ((a+b)_k k!), so they come from the members' own integer
+series loop (``families._series_terms``) as integers over one denominator.
+The exact route is a Gram matrix over their Hankel matrix (Gautschi,
+*Orthogonal Polynomials: Computation and Approximation*, 2004, section 2.1):
+with U = D u and V = D v,  <u, v> = sum_{j,k} U_j V_k mu_{j+k}.  Each
+lowered member is held the same way (FLINT's ``fmpq_poly`` layout), so a
+Hankel row v_n = H U_n costs O(N^2) integer operations and each pair after
+it one integer dot product: O(N^3) for every pair up to degree N, with one
+lowering per member and one ``Fraction`` per pair.
 
-The exact route is a Gram matrix over the moment Hankel matrix (Gautschi,
-*Orthogonal Polynomials: Computation and Approximation*, 2004, section 2.1).
-With U = D u and V = D v,  <u, v> = sum_{j,k} U_j V_k mu_{j+k}.  Each
-lowered member and the moment sequence are held as integer numerators over
-one common denominator (FLINT's ``fmpq_poly`` layout), so a Hankel row
-v_n = H U_n costs O(N^2) integer operations and each pair after it one
-integer dot product: checking every pair up to degree N costs O(N^3)
-integer operations, one lowering per member and one ``Fraction`` per pair.
-
-Gauss rules come from the Golub-Welsch construction: eigenvalues of the
-Jacobi matrix of the three-term recurrence give the nodes, squared first
-eigenvector components give the weights.  The tridiagonal eigenproblem is
-solved by implicit-shift QL with Wilkinson shifts, carrying the first-row
-components through the rotations.
+The quadrature route recomputes <u, v> through a Gauss rule, purely as an
+independent cross-check.  Every float node and weight is a dyadic rational,
+so the rule sum runs in Python ints and is rounded once (``_exact_rule_sum``).
+The rules come from the Golub-Welsch construction: the eigenvalues of the
+Jacobi matrix of the three-term recurrence are the nodes and the squared
+first eigenvector components the weights, found by implicit-shift QL with
+Wilkinson shifts.  A weight that does not fit float64 has no rule.
 """
 
 from __future__ import annotations
@@ -47,7 +42,7 @@ from operator import mul
 
 from .diffop import DiffOp, _weight_and_orders, composed_lowering
 from .exactnum import Poly, _horner, as_rational, pochhammer
-from .families import FamilySpec, make_member
+from .families import FamilySpec, _series_terms, make_member
 
 __all__ = [
     "ConvergenceError",
@@ -101,16 +96,18 @@ def jacobi_weight(a, b) -> WeightSpec:
     return WeightSpec(JACOBI_WEIGHT, (a, b))
 
 
-@lru_cache(maxsize=None)
+def _moments(weight: WeightSpec, K: int) -> Poly:
+    """mu_0..mu_K as one Poly: the series terms (q)_k (1)_k / k! = (q)_k, or
+    (a)_k (1)_k / ((a+b)_k k!) = (a)_k / (a+b)_k."""
+    lower = () if weight.kind == LAGUERRE_WEIGHT else (sum(weight.params),)
+    return _series_terms((weight.params[0], 1), lower, K)
+
+
 def moment(weight: WeightSpec, k: int) -> Fraction:
-    """k-th raw moment of the normalized weight, exactly."""
+    """k-th raw moment of the normalized weight: coefficient k of ``_moments``."""
     if k < 0:
         raise ValueError("moment order must be nonnegative")
-    if weight.kind == LAGUERRE_WEIGHT:
-        (q,) = weight.params
-        return Fraction(pochhammer(q, k))
-    a, b = weight.params
-    return Fraction(pochhammer(a, k)) / pochhammer(a + b, k)
+    return _moments(weight, k).coeffs[k]
 
 
 @dataclass(frozen=True)
@@ -141,9 +138,8 @@ def _gram_rows(form: SobolevForm, ys):
     """
     lowered = [(u.nums, u.den) for u in map(form.dop, ys)]
     top = max((len(u) for u, _ in lowered), default=0)
-    # The moments as one Poly's coefficients, to get the same integer layout;
-    # a positive weight has positive moments, so no trailing one is stripped.
-    moments = Poly(moment(form.weight, k) for k in range(2 * top - 1))
+    # Every moment is positive, so none is stripped; at top 0 mu_0 goes unread.
+    moments = _moments(form.weight, max(2 * top - 2, 0))
     mu, mu_den = moments.nums, moments.den
     for i, (u, u_den) in enumerate(lowered):
         v = [sum(map(mul, u, mu[k:])) for k in range(top)]
@@ -206,10 +202,8 @@ class OrthogonalityReport:
 def verify_orthogonality(spec: FamilySpec, nmax: int) -> OrthogonalityReport:
     """Exact check of <y_n, y_m> = delta_{nm} A_n for all 0 <= m <= n <= nmax.
 
-    The members y_0..y_nmax are built and lowered once each, and the whole
-    lower triangle of their Gram matrix comes from one integer Hankel
-    product per row (see ``_gram_rows``): O(nmax^3) integer operations and
-    one ``Fraction`` per pair, with no polynomial product per pair.
+    Each member is built and lowered once, and the lower triangle of the
+    Gram matrix comes from ``_gram_rows``: no polynomial product per pair.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
@@ -242,13 +236,18 @@ class QuadRule:
 
 
 def _recurrence_coefficients(weight: WeightSpec, npoints: int):
-    """Monic three-term recurrence coefficients (alpha_k, beta_k), beta_0 unused."""
+    """Monic three-term recurrence coefficients (alpha_k, beta_k), beta_0 unused.
+
+    Here the weight becomes floats: a parameter that rounds to 0.0 enters as
+    NaN, so like an overflow it leaves a coefficient ``gauss_rule`` rejects.
+    """
+    ps = [float(p) or math.nan for p in weight.params]
     if weight.kind == LAGUERRE_WEIGHT:
-        q = float(weight.params[0])
+        (q,) = ps
         alpha = [2.0 * k + q for k in range(npoints)]
         beta = [0.0] + [k * (k + q - 1.0) for k in range(1, npoints)]
         return alpha, beta
-    a, b = (float(p) for p in weight.params)
+    a, b = ps
     s = a + b - 2.0
     alpha = [a / (a + b)]
     beta = [0.0]
@@ -327,7 +326,12 @@ def gauss_rule(weight: WeightSpec, npoints: int) -> QuadRule:
     """Gauss rule with the requested point count, exact for degree 2*npoints - 1."""
     if npoints < 1:
         raise ValueError("a quadrature rule needs at least one point")
-    alpha, beta = _recurrence_coefficients(weight, npoints)
+    try:
+        alpha, beta = _recurrence_coefficients(weight, npoints)
+    except (OverflowError, ZeroDivisionError):
+        alpha = beta = [math.inf]
+    if not all(map(math.isfinite, alpha + beta)):
+        raise ValueError(f"the {weight.kind} weight's Gauss rule does not fit float64")
     sub = [math.sqrt(b) for b in beta[1:]]
     nodes, firsts = _ql_implicit(alpha, sub)
     weights = [f * f for f in firsts]  # total mass is 1 for normalized weights
@@ -375,18 +379,14 @@ def _exact_rule_sum(rule: QuadRule, *polys: Poly, point: Fraction = Fraction(1))
 def sobolev_inner_quadrature(
     form: SobolevForm, yn: Poly, ym: Poly, npoints: int | None = None
 ) -> float:
-    """<yn, ym> recomputed through a Gauss rule.
+    """<yn, ym> recomputed through a Gauss rule, as ``float`` of the exact
+    rule sum over the lowered members (``_exact_rule_sum``).
 
-    The rule's nodes and weights are the float ingredient; the lowered
-    polynomials are evaluated exactly at each node's binary value and the
-    weighted sum is accumulated as one integer over a power-of-two-aligned
-    denominator before the single final rounding (``_exact_rule_sum``), so
-    the result is ``float`` of the exact rational sum.  Lowered members take
-    small values near the nodes while their coefficients are large, so float
-    evaluation would drown the comparison in cancellation noise; done this
-    way the residual against ``sobolev_inner_exact`` measures only the
-    accuracy of the computed rule, which with the default
-    (exactness-matching) point count is near machine precision.
+    Lowered members take small values near the nodes while their
+    coefficients are large, so float evaluation would drown the comparison
+    in cancellation noise; exact evaluation leaves the residual against
+    ``sobolev_inner_exact`` to measure only the rule's accuracy, which with
+    the default (exactness-matching) point count is near machine precision.
     """
     u = form.dop(yn)
     v = form.dop(ym)

@@ -36,18 +36,29 @@ def test_weight_validation():
         WeightSpec("cauchy", (F(1),))
 
 
+def _closed_form_moment(weight, k):
+    """mu_k from the Pochhammer closed form, independent of ``moment``."""
+    if weight.kind == "laguerre":
+        return F(pochhammer(weight.params[0], k))
+    a, b = weight.params
+    return F(pochhammer(a, k)) / pochhammer(a + b, k)
+
+
 def test_moments_closed_forms():
-    w = laguerre_weight(F(7, 3))
-    for k in range(8):
-        assert moment(w, k) == pochhammer(F(7, 3), k)
-    wj = jacobi_weight(F(1, 2), F(3, 2))
-    for k in range(8):
-        assert moment(wj, k) == pochhammer(F(1, 2), k) / pochhammer(F(2), k)
-        assert isinstance(moment(wj, k), F)  # exact even at k = 0
-    assert moment(w, 0) == 1
-    assert isinstance(moment(w, 0), F)
-    with pytest.raises(ValueError):
-        moment(w, -1)
+    weights = [
+        laguerre_weight(F(7, 3)),
+        laguerre_weight(1),
+        jacobi_weight(F(1, 2), F(3, 2)),
+        jacobi_weight(F(1, 3), F(5, 7)),  # a + b = 22/21, not an integer
+    ]
+    for weight in weights:
+        # verify orthogonality at nmax 32 reads mu_k up to k = 64.
+        for k in range(71):
+            got = moment(weight, k)
+            assert isinstance(got, F)  # exact even at k = 0
+            assert got == _closed_form_moment(weight, k), (weight, k)
+        with pytest.raises(ValueError):
+            moment(weight, -1)
 
 
 def test_moment_uniform_case():
@@ -119,9 +130,11 @@ def test_verify_orthogonality_rejects_negative_nmax():
 
 def _reference_inner(form, yn, ym):
     """<yn, ym> computed independently of the Gram route: the product of the
-    two lowered members, dotted with the moments."""
+    two lowered members, dotted with the Pochhammer closed-form moments."""
     product = form.dop(yn) * form.dop(ym)
-    return sum((c * moment(form.weight, k) for k, c in enumerate(product.coeffs)), F(0))
+    return sum(
+        (c * _closed_form_moment(form.weight, k) for k, c in enumerate(product.coeffs)), F(0)
+    )
 
 
 _positive = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)
@@ -284,6 +297,22 @@ def test_gauss_rule_names_the_weights_that_underflow():
     # near e^-988 is far below the smallest float64 (about 5e-324).
     with pytest.raises(ConvergenceError, match="17 of 256 weights underflowed to zero in float64"):
         gauss_rule(laguerre_weight(F(1, 2)), 256)
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [
+        laguerre_weight(F(10**400)),  # q overflows float64
+        laguerre_weight(F(1, 10**400)),  # q rounds to 0.0
+        jacobi_weight(F(1, 10**400), F(10**300)),  # a rounds to 0.0
+        jacobi_weight(F(10**300), F(10**300)),  # (a + b)^2 overflows
+        jacobi_weight(F(1, 10**200), F(1, 10**200)),  # (a + b)^2 underflows to 0.0
+        jacobi_weight(1, F(10**400)),  # the integral-rep rule of r = 10^400
+    ],
+)
+def test_gauss_rule_rejects_a_weight_beyond_float64(weight):
+    with pytest.raises(ValueError, match=f"the {weight.kind} weight's Gauss rule does not fit"):
+        gauss_rule(weight, 3)
 
 
 def test_quadrature_matches_exact_inner_product():

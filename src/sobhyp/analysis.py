@@ -1,11 +1,13 @@
 """Root finding, discriminants, and cross-checks that leave exact arithmetic.
 
-Roots come from Aberth-Ehrlich simultaneous iteration on the monic float
-polynomial: every approximation is corrected by a Newton step coupled to
-the other approximations, so clusters repel each other and the whole root
-set converges together.  Discriminants of the degree-2 members have short
-closed forms whose sign classifies the root pair (real pair / double root /
-conjugate pair).
+Roots come from Aberth-Ehrlich simultaneous iteration: every approximation
+is corrected by a Newton step coupled to the other approximations, so
+clusters repel each other and the whole root set converges together.  It
+runs in the stages of MPSolve (Bini & Robol, J. Comput. Appl. Math. 272,
+2014) that ``roots`` lists: a Newton-polygon start, float rounds stopped by a
+rounding-error bound, and a polish with p/p' evaluated exactly.
+Discriminants of the degree-2 members have short closed forms whose sign
+classifies the root pair (real pair / double root / conjugate pair).
 
 The two remaining checks compare a family member against a beta average of
 its zero-slot member (evaluated by a Gauss rule that is exact for the
@@ -16,12 +18,13 @@ family, whose error decays like 1/b.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
-from math import pi
+from math import exp, hypot, inf, log, pi, prod, ulp
+from operator import le
 from typing import Sequence, Union
 
-from .exactnum import Poly, as_rational
+from .exactnum import Poly, _Record, _scaled, as_rational
 from .families import (
     _LAYOUTS, SCRIPT_L, SCRIPT_P, FamilySpec, bold_l, bold_p, make_member, script_l, script_p
 )
@@ -38,14 +41,18 @@ __all__ = [
 
 _ABERTH_TOL = 1e-13
 _ABERTH_MAX_ITER = 200
+# A float Horner sum at z is within about 2 n eps sum_k |c_k| |z|^k of p(z)
+# (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, 5.1); the
+# float stage freezes a root once its residual is within this bound.
+_ROUNDING = 4 * sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(_Record):
     """All roots of one polynomial, with a residual certificate.
 
     ``residual_bound`` is max |p(root)| over the leading coefficient, i.e.
     the residual of the monic polynomial at the computed roots.
+    ``iterations`` counts the float Aberth rounds plus the exact sweeps.
     """
 
     roots: tuple[complex, ...]
@@ -53,23 +60,251 @@ class RootSet:
     iterations: int
 
 
-def _monic_coeffs(p: Union[Poly, Sequence]) -> list[complex]:
+def _exact_coeffs(p: Union[Poly, Sequence]) -> list[tuple[int, int]]:
+    """Gaussian-integer coefficients (re, im), ascending, proportional to p's.
+
+    A Poly gives its numerators; a sequence gives the exact values of its
+    entries (a float's binary value, the parts of a complex) over their
+    common denominator.  Trailing zeros go.
+    """
     if isinstance(p, Poly):
-        # Stay exact until the division: a leading coefficient such as
-        # 1/200! is zero as a float, although the monic coefficients are not.
-        # The common denominator cancels, and an int quotient rounds once.
-        # The sign moves to the numerators so that a zero divides to +0.0.
-        cs = list(p.nums) if not p.nums or p.nums[-1] > 0 else [-n for n in p.nums]
-    else:
-        cs = [complex(c) for c in p]
-        while cs and cs[-1] == 0:
-            cs.pop()
-    if len(cs) < 2:
-        raise ValueError("root finding needs degree at least 1")
+        return [(n, 0) for n in p.nums]
     try:
-        return [complex(c / cs[-1]) for c in cs]
+        parts = [Fraction(x) for c in p
+                 for x in ((c.real, c.imag) if isinstance(c, complex) else (c, 0))]
+    except (ValueError, OverflowError):
+        raise ValueError("root finding needs finite coefficients") from None
+    *nums, _ = _scaled(*parts) if parts else (1,)
+    cs = list(zip(nums[::2], nums[1::2]))
+    while cs and cs[-1] == (0, 0):
+        cs.pop()
+    return cs
+
+
+def _monic_coeffs(cs: list[tuple[int, int]]) -> list[complex]:
+    """The coefficients over the leading one, each part rounded once.
+
+    An int / int quotient is correctly rounded, so a leading coefficient such
+    as 1/200! (zero as a float) still gives the monic coefficients exactly
+    rounded, and a zero part divides to +0.0.
+    """
+    lr, li = cs[-1]
+    norm = lr * lr + li * li
+    try:
+        return [complex((a * lr + b * li) / norm, (b * lr - a * li) / norm) for a, b in cs]
     except OverflowError as exc:
         raise ValueError(f"the monic coefficients exceed the float range ({exc})") from None
+
+
+def _start(cs: list[tuple[int, int]]) -> list[complex]:
+    """Bini's start points from the Newton polygon of p.
+
+    Each edge (i, j) of the upper convex hull of the points (k, log|c_k|)
+    puts j - i points on the circle of radius (|c_i| / |c_j|)^(1/(j-i)),
+    which is where the moduli of j - i roots cluster (Bini, Numer.
+    Algorithms 13, 1996).  The angles are spread over each circle and
+    rotated between circles, off any axis.
+    """
+    n = len(cs) - 1
+    hull: list[tuple[int, float]] = []
+    for k, (a, b) in enumerate(cs):
+        if not (a or b):
+            continue
+        y = log(a * a + b * b) / 2
+        while len(hull) > 1 and (
+            (hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+            >= (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])
+        ):
+            hull.pop()
+        hull.append((k, y))
+    zs = []
+    for (i, yi), (j, yj) in zip(hull, hull[1:]):
+        m = j - i
+        radius = exp((yi - yj) / m)
+        zs += [radius * cmath.exp(2j * pi * (h / m + i / n) + 0.7j) for h in range(m)]
+    return zs
+
+
+def _aberth_terms(zs: list[complex], i: int) -> list[complex]:
+    """1 / (z_i - z_j) for every j != i; their sum is the Aberth coupling."""
+    z = zs[i]
+    return [1 / (z - v) for v in zs[:i]] + [1 / (z - v) for v in zs[i + 1:]]
+
+
+def _float_stage(cs: list[complex], zs: list[complex], max_iter: int):
+    """Aberth rounds in float; a root freezes once its residual is rounding error.
+
+    Returns (rounds, reason, residuals, errors).  ``reason`` is None once
+    every root is frozen.  residuals[i] bounds |p(z_i)| (the float value
+    plus the rounding bound) and errors[i], the bound over |p'(z_i)|,
+    estimates how far z_i may be from its root.
+    """
+    n = len(zs)
+    lead, *rest = cs[::-1]
+    moduli = [abs(c) for c in cs[::-1]]
+    # sum_k |c_k| r^k <= total max(1, r)^n: far from a root, where |p| is
+    # above the bound even at that ceiling, the sum itself is not needed.
+    # Past ``reach`` the power leaves the float range, and so does the bound.
+    ceiling = _ROUNDING * n * sum(moduli)
+    reach = sys.float_info.max ** (1 / n)
+    residuals = [inf] * n
+    errors = [inf] * n
+    active = range(n)
+    rounds = 0
+    for rounds in range(1, max_iter + 1):
+        left = []
+        try:
+            for i in active:
+                z = zs[i]
+                pv, dv = lead, 0j
+                for c in rest:
+                    dv = dv * z + pv
+                    pv = pv * z + c
+                size, r = abs(pv), abs(z)
+                if size <= ceiling * (1.0 if r <= 1.0 else r ** n if r < reach else inf):
+                    s = 0.0
+                    for m in moduli:
+                        s = s * r + m
+                    bound = _ROUNDING * n * s
+                    if size <= bound < inf:
+                        residuals[i] = size + bound
+                        errors[i] = bound / abs(dv) if dv else inf
+                        continue
+                left.append(i)
+                if not dv:
+                    # A stationary point: nudge and let the next round recover.
+                    zs[i] = z + (1 + 1j) * _ROUNDING * max(1.0, r)
+                    continue
+                newton = pv / dv
+                zs[i] = z - newton / (1 - newton * sum(_aberth_terms(zs, i)))
+            finite = all(map(cmath.isfinite, zs))
+        except OverflowError:  # abs() of a complex beyond the float range
+            finite = False
+        except ZeroDivisionError:
+            return rounds, f"two root approximations met in round {rounds}", residuals, errors
+        if not finite:
+            return rounds, f"root iteration left the float range in round {rounds}", residuals, errors
+        active = left
+        if not active:
+            return rounds, None, residuals, errors
+    return rounds, f"root iteration did not converge in {rounds} rounds", residuals, errors
+
+
+def _mirror(zs: list[complex], residuals: list[float]) -> tuple[set, dict]:
+    """For a real polynomial: the roots proved real and the proved conjugate pairs.
+
+    The disks D_i = D(z_i, n |p(z_i)| / prod_{j != i} |z_i - z_j|) cover the
+    roots, and a union of m overlapping disks holds exactly m of them
+    (Bini & Robol, J. Comput. Appl. Math. 272, 2014, section 2).  So an
+    isolated disk holds one root, and its mirror image holds the conjugate:
+    if the image meets no disk but D_i, the root is real; if it meets one
+    other isolated disk D_j, that disk holds the conjugate.  Puts each real
+    root on the real line and each lower mate on its upper root's
+    conjugate, and returns (reals, mates): the indices of the real roots,
+    and a map from the upper root of each pair to its lower mate.
+    """
+    n = len(zs)
+    gaps = [[abs(z - w) for w in zs] for z in zs]
+    radii = []
+    for i, row in enumerate(gaps):
+        apart = prod(row[:i]) * prod(row[i + 1:])
+        radii.append(2 * n * residuals[i] / apart if apart else inf)
+    # D_i meets D_j where |z_i - z_j| <= r_i + r_j; every disk meets itself.
+    isolated = [sum(map(le, row, [ri + rj for rj in radii])) == 1
+                for row, ri in zip(gaps, radii)]
+    reals, mates = set(), {}
+    for i, (z, ri) in enumerate(zip(zs, radii)):
+        if not isolated[i] or z.imag < 0:
+            continue
+        image = z.conjugate()
+        hits = [j for j, w in enumerate(zs) if abs(image - w) <= ri + radii[j]]
+        if hits == [i]:
+            reals.add(i)
+            zs[i] = complex(z.real)
+        elif len(hits) == 1 and isolated[hits[0]] and z.imag > 0:
+            mates[i] = hits[0]
+            zs[hits[0]] = image
+    return reals, mates
+
+
+def _exact_newton(cs: list[tuple[int, int]], z: complex, real: bool) -> complex:
+    """p(z) / p'(z) at the binary value of z, rounded once.
+
+    z = (a + i b) / 2^k, so Horner's rule runs in Gaussian integers: with
+    P_j = b_j 2^(k (n-j)) and D_j = d_j 2^(k (n-1-j)) for the Horner values
+    b_j of p and d_j of p', P_j = a' P_(j+1) + c_j 2^(k (n-j)) and
+    D_j = a' D_(j+1) + P_(j+1), a' = a + i b, and p / p' = P_0 / (2^k D_0).
+    For a real polynomial at a real point the imaginary parts are zero and
+    are not carried.  An int / int quotient is correctly rounded, as in
+    ``sobolev._exact_rule_sum`` for a real node.  Raises ZeroDivisionError
+    where p'(z) = 0 and p(z) != 0.
+    """
+    a, qa = z.real.as_integer_ratio()
+    b, qb = z.imag.as_integer_ratio()
+    q = max(qa, qb)
+    a, b = a * (q // qa), b * (q // qb)
+    k = q.bit_length() - 1
+    terms = reversed(cs)
+    pr, pi_ = next(terms)
+    dr = di = shift = 0
+    if real and not b:
+        for cr, _ in terms:
+            shift += k
+            dr = dr * a + pr
+            pr = pr * a + (cr << shift)
+    else:
+        for cr, ci in terms:
+            shift += k
+            dr, di = dr * a - di * b + pr, dr * b + di * a + pi_
+            pr, pi_ = pr * a - pi_ * b + (cr << shift), pr * b + pi_ * a + (ci << shift)
+    if not (pr or pi_):
+        return 0j
+    if not (pi_ or di):
+        return complex(pr / (dr << k))
+    norm = (dr * dr + di * di) << k
+    return complex((pr * dr + pi_ * di) / norm, (pi_ * dr - pr * di) / norm)
+
+
+def _exact_stage(cs, real: bool, zs: list[complex], todo: list[int], reals: set,
+                 mates: dict, tol: float, max_iter: int):
+    """Aberth sweeps with p/p' exact at each iterate's binary value.
+
+    A real root moves along the real line, and the lower root of a pair
+    follows its upper mate as its conjugate.  A root is done once its
+    correction w, or the next one that Newton's quadratic convergence
+    predicts, |w|^2 sum_j 1 / |z - z_j|, is below tol |z| or two ulps.
+    Returns (sweeps, reason), ``reason`` None once every root is done.
+    """
+    sweeps = 0
+    for sweeps in range(1, max_iter + 1):
+        if not todo:
+            return sweeps - 1, None
+        left = []
+        try:
+            for i in todo:
+                z = zs[i]
+                terms = _aberth_terms(zs, i)
+                newton = _exact_newton(cs, z, real)
+                w = newton / (1 - newton * sum(terms))
+                if i in reals:
+                    w = complex(w.real)
+                zs[i] = z - w
+                if i in mates:
+                    zs[mates[i]] = zs[i].conjugate()
+                r, step = abs(z), abs(w)
+                if min(step, step * step * sum(map(abs, terms))) > max(tol * r, 2 * ulp(r)):
+                    left.append(i)
+        except (ZeroDivisionError, OverflowError):
+            return sweeps, f"exact root refinement broke down in sweep {sweeps}"
+        todo = left
+    return sweeps, f"exact root refinement did not converge in {sweeps} sweeps"
+
+
+def _horner_float(cs: list[complex], z: complex) -> complex:
+    pv = 0j
+    for c in reversed(cs):
+        pv = pv * z + c
+    return pv
 
 
 def roots(
@@ -80,63 +315,52 @@ def roots(
     """All complex roots of ``p`` by Aberth-Ehrlich iteration.
 
     Accepts a Poly or any ascending coefficient sequence (float or complex
-    entries).  Raises ConvergenceError if corrections fail to shrink below
-    ``tol`` times the root scale in ``max_iter`` rounds, or as soon as an
-    approximation stops being a finite number; the partial result is
-    attached to the exception as ``partial``.
+    entries, taken at their exact binary values).  Three stages:
+
+    1. start points on the circles of p's Newton polygon (``_start``);
+    2. float Aberth rounds, each root frozen once |p(z)| falls within the
+       rounding-error bound of float Horner;
+    3. for each root whose error estimate (that bound over |p'(z)|) is above
+       a few ulps, Aberth sweeps with p/p' evaluated exactly on the integer
+       coefficients, until its correction, or the next one that Newton's
+       quadratic convergence predicts, is below ``tol`` times its modulus or
+       two ulps.  On a real polynomial, a root whose inclusion disk proves it
+       real stays real, and a proved conjugate pair stays one.
+
+    ``iterations`` counts the float rounds plus the exact sweeps;
+    ``max_iter`` bounds each stage.  Raises ConvergenceError if a stage does
+    not finish, or as soon as an approximation stops being a finite number;
+    the partial result is attached as ``partial``.
     """
-    cs = _monic_coeffs(p)
-    deg = len(cs) - 1
-    radius = 1.0 + max(abs(c) for c in cs[:-1])
-    # Deterministic start: points on a circle, rotated off any axis so real
-    # root symmetry cannot trap two approximations on one root.
-    zs = [radius * cmath.exp(2j * pi * (k + 0.25) / deg + 0.5j) for k in range(deg)]
-    dcs = [k * cs[k] for k in range(1, len(cs))]
-
-    def eval_both(z):
-        pv = 0j
-        for c in reversed(cs):
-            pv = pv * z + c
-        dv = 0j
-        for c in reversed(dcs):
-            dv = dv * z + c
-        return pv, dv
-
-    rounds = 0
-    for rounds in range(1, max_iter + 1):
-        worst = 0.0
-        for i in range(deg):
-            pv, dv = eval_both(zs[i])
-            if pv == 0:
-                continue
-            if dv == 0:
-                # A stationary point: nudge and let the next round recover.
-                zs[i] += tol + tol * 1j
-                worst = max(worst, abs(tol))
-                continue
-            newton = pv / dv
-            coupling = sum(1.0 / (zs[i] - zs[j]) for j in range(deg) if j != i)
-            denom = 1.0 - newton * coupling
-            w = newton if denom == 0 else newton / denom
-            zs[i] -= w
-            worst = max(worst, abs(w))
-        # max() skips a NaN correction (max(0.0, nan) is 0.0), so test the
-        # iterates themselves before trusting ``worst``.
-        if not all(cmath.isfinite(z) for z in zs):
-            reason = f"root iteration left the float range in round {rounds}"
-            break
-        scale = max(1.0, max(abs(z) for z in zs))
-        if worst < tol * scale:
-            ordered = sorted(zs, key=lambda z: (z.real, z.imag))
-            residual = max(abs(eval_both(z)[0]) for z in ordered)
-            return RootSet(tuple(ordered), residual, rounds)
-    else:
-        reason = f"root iteration did not converge in {rounds} rounds"
-    partial = RootSet(tuple(sorted(zs, key=lambda z: (z.real, z.imag))),
-                      max(abs(eval_both(z)[0]) for z in zs), rounds)
-    err = ConvergenceError(reason)
-    err.partial = partial
-    raise err
+    exact = _exact_coeffs(p)
+    if len(exact) < 2:
+        raise ValueError("root finding needs degree at least 1")
+    cs = _monic_coeffs(exact)
+    # Exact zero roots come off first: the Newton polygon needs c_0 != 0.
+    zeros = 0
+    while exact[zeros] == (0, 0):
+        zeros += 1
+    exact = exact[zeros:]
+    if len(exact) == 1:
+        return RootSet((0j,) * zeros, 0.0, 0)
+    zs = _start(exact)
+    rounds, reason, residuals, errors = _float_stage(cs[zeros:], zs, max_iter)
+    sweeps = 0
+    if reason is None:
+        real = not any(ci for _, ci in exact)
+        reals, mates = _mirror(zs, residuals) if real else (set(), {})
+        # A root known to a few ulps is left as the float stage found it.
+        lower = set(mates.values())
+        todo = [i for i, e in enumerate(errors) if e > 4 * ulp(abs(zs[i])) and i not in lower]
+        sweeps, reason = _exact_stage(exact, real, zs, todo, reals, mates, tol, max_iter)
+    zs = sorted(zs + [0j] * zeros, key=lambda z: (z.real, z.imag))
+    residual = max(hypot(v.real, v.imag) for v in (_horner_float(cs, z) for z in zs))
+    found = RootSet(tuple(zs), residual, rounds + sweeps)
+    if reason is not None:
+        err = ConvergenceError(reason)
+        err.partial = found
+        raise err
+    return found
 
 
 def discriminant_L(q, r):

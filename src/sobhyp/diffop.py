@@ -15,13 +15,12 @@ theta = x d/dx, have two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, perm, prod
 from typing import Callable, Sequence
 
-from .exactnum import Poly, _poly, _scaled, as_rational, pochhammer
+from .exactnum import Poly, _poly, _Record, _scaled, as_rational, pochhammer
 from .families import _LAYOUTS, FamilySpec, _series_params, make_member
 
 __all__ = [
@@ -37,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiffOp:
+class DiffOp(_Record):
     """sum_k coeffs[k](x) d^k/dx^k with exact polynomial coefficients."""
 
     coeffs: tuple[Poly, ...]
@@ -57,9 +55,6 @@ class DiffOp:
         bands = [(s, lru_cache(None)(lambda m, t=t: sum(v * perm(m, k) for k, v in t)))
                  for s, t in terms.items()]
         object.__setattr__(self, "_bands", (bands, den))
-
-    def __reduce__(self):  # the bands hold closures: pickle rebuilds them from the coefficients
-        return DiffOp, (self.coeffs,)
 
     @property
     def order(self) -> int | None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm, perm
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Union
 
 __all__ = ["Poly", "Rational", "as_rational", "pochhammer"]
@@ -60,6 +60,68 @@ def pochhammer(c, k: int):
 
 
 _set = object.__setattr__
+
+
+class _Record:
+    """Base of an immutable record: what a frozen dataclass gives, without
+    importing ``dataclasses`` (which pulls in ``inspect``) or building each
+    class's methods with ``exec``.
+
+    A subclass declares its fields as annotations.  They are set from
+    positional or keyword arguments; ``__post_init__`` may then validate
+    them and replace them through ``object.__setattr__``.  ``==``, ``hash``
+    (computed once) and ``repr`` read the fields in order.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _hash = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        # One C-level read of the fields, led by the class so that even a
+        # one-field record reads as a tuple.
+        cls._read = attrgetter("__class__", *cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            given = dict(zip(fields, args))
+            given.update(kwargs)
+            if len(args) + len(kwargs) != len(given) or set(given) != set(fields):
+                raise TypeError(f"{type(self).__name__}() takes {', '.join(fields)}, each once")
+            args = [given[field] for field in fields]
+        for field, value in zip(fields, args):
+            _set(self, field, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    # Pickle and copy rebuild from the field values, so a cached hash never
+    # travels to a process that hashes strings differently.
+    def __reduce__(self):
+        return type(self), self._read(self)[1:]
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._read(self) == self._read(other)
+        return NotImplemented
+
+    def __hash__(self):
+        if self._hash is None:
+            _set(self, "_hash", hash(self._read(self)))
+        return self._hash
+
+    def __repr__(self):
+        pairs = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._read(self)[1:]))
+        return f"{type(self).__qualname__}({pairs})"
 
 
 def _scaled(*values) -> tuple[int, ...]:

@@ -26,13 +26,12 @@ dyadic rational), and only the resulting coefficients are rounded.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isfinite, prod
 from typing import Sequence
 
-from .exactnum import Poly, _poly, as_rational, pochhammer
+from .exactnum import Poly, _poly, _Record, as_rational, pochhammer
 
 __all__ = [
     "FamilySpec",
@@ -78,8 +77,7 @@ class PoleError(ValueError):
     """A denominator parameter of a series hits zero within the needed terms."""
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Record):
     """A family kind together with its exact rational parameters."""
 
     kind: str

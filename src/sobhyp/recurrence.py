@@ -25,11 +25,10 @@ is the one Fraction built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exactnum import Poly, _poly, _scaled
+from .exactnum import Poly, _poly, _Record, _scaled
 from .families import make_member, script_l, script_p
 
 __all__ = [
@@ -50,8 +49,7 @@ class DomainError(ValueError):
     """Parameters fall on a set where a recurrence coefficient is undefined."""
 
 
-@dataclass(frozen=True)
-class PhiCoeffs:
+class PhiCoeffs(_Record):
     phi1: Fraction
     phi2: Fraction
     phi3: Fraction
@@ -60,8 +58,7 @@ class PhiCoeffs:
     phi6: Fraction
 
 
-@dataclass(frozen=True)
-class PsiCoeffs:
+class PsiCoeffs(_Record):
     psi1: Fraction
     psi2: Fraction
     psi3: Fraction

@@ -34,14 +34,13 @@ Wilkinson shifts.  A weight that does not fit float64 has no rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 from operator import mul
 
 from .diffop import DiffOp, _weight_and_orders, composed_lowering
-from .exactnum import Poly, _horner, as_rational, pochhammer
+from .exactnum import Poly, _horner, _Record, as_rational, pochhammer
 from .families import FamilySpec, _series_terms, make_member
 
 __all__ = [
@@ -69,8 +68,7 @@ class ConvergenceError(RuntimeError):
     """An iterative numeric procedure failed to settle within its budget."""
 
 
-@dataclass(frozen=True)
-class WeightSpec:
+class WeightSpec(_Record):
     """One of the two normalized classical weights, with exact parameters."""
 
     kind: str
@@ -110,8 +108,7 @@ def moment(weight: WeightSpec, k: int) -> Fraction:
     return _moments(weight, k).coeffs[k]
 
 
-@dataclass(frozen=True)
-class SobolevForm:
+class SobolevForm(_Record):
     weight: WeightSpec
     dop: DiffOp
 
@@ -175,8 +172,7 @@ def a_n_normalized(spec: FamilySpec, n: int) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(_Record):
     """Every pair checked by ``verify_orthogonality`` as (n, m, got, want).
 
     Entries run n = 0..nmax and, within each n, m = 0..n.
@@ -222,8 +218,7 @@ _QL_MAX_SWEEPS = 50
 _EPS = 2.220446049250313e-16
 
 
-@dataclass(frozen=True)
-class QuadRule:
+class QuadRule(_Record):
     """Nodes and weights of a Gauss rule for a normalized classical weight."""
 
     weight: WeightSpec

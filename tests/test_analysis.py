@@ -1,5 +1,6 @@
 """Root finding, discriminants, integral representations, limit relation."""
 
+import cmath
 import math
 from fractions import Fraction as F
 
@@ -7,6 +8,8 @@ import pytest
 
 from sobhyp.analysis import (
     RootSet,
+    _exact_coeffs,
+    _exact_newton,
     _monic_coeffs,
     discriminant_L,
     discriminant_P,
@@ -14,7 +17,7 @@ from sobhyp.analysis import (
     limit_check,
     roots,
 )
-from sobhyp.exactnum import Poly
+from sobhyp.exactnum import Poly, _horner
 from sobhyp.families import (
     SCRIPT_L,
     bold_l,
@@ -106,11 +109,27 @@ def test_roots_nonconvergence_attaches_partial():
 
 
 def test_roots_stop_at_the_first_non_finite_round():
-    with pytest.raises(ConvergenceError, match="round 1") as info:
-        roots(make_member(script_l(1, 1), 18))
+    # x^4 + 1e300 x^2 + 1e300 has a root pair near +-1e150 i: Horner's
+    # partial sums there pass 1e450, so the first round leaves the float range.
+    with pytest.raises(ConvergenceError, match="left the float range in round 1") as info:
+        roots([1e300, 0, 1e300, 0, 1])
     partial = info.value.partial
-    assert len(partial.roots) == 18
+    assert len(partial.roots) == 4
     assert partial.iterations == 1
+    assert not all(map(cmath.isfinite, partial.roots))
+
+
+def test_roots_nonconvergence_in_the_exact_stage_attaches_partial():
+    # A fourfold root off the binary grid: the float stage freezes all four
+    # approximations within 20 rounds, but Aberth converges only linearly on
+    # the multiple root, so the exact sweeps run out.
+    p = Poly([1, -6, 9]) ** 2
+    with pytest.raises(ConvergenceError, match="exact root refinement did not converge in 20") as info:
+        roots(p, max_iter=20)
+    partial = info.value.partial
+    assert len(partial.roots) == 4
+    assert 20 < partial.iterations <= 40
+    assert all(abs(z - F(1, 3)) < 1e-3 for z in partial.roots)
 
 
 @pytest.mark.parametrize("p", [
@@ -124,7 +143,7 @@ def test_monic_coeffs_match_the_fraction_quotient_bitwise(p):
     # The numerators over the leading numerator, rounded once, give exactly
     # the floats of the Fraction quotients: same bits, signed zeros included.
     want = [complex(c / p.coeffs[-1]) for c in p.coeffs]
-    got = _monic_coeffs(p)
+    got = _monic_coeffs(_exact_coeffs(p))
     assert [(z.real.hex(), z.imag.hex()) for z in got] == [
         (z.real.hex(), z.imag.hex()) for z in want
     ]
@@ -133,6 +152,106 @@ def test_monic_coeffs_match_the_fraction_quotient_bitwise(p):
 def test_roots_monic_overflow_is_a_value_error():
     with pytest.raises(ValueError, match="float range"):
         roots(make_member(script_l(1, 1), 200))
+
+
+def test_roots_reject_non_finite_coefficients():
+    with pytest.raises(ValueError, match="finite"):
+        roots([1.0, math.nan, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        roots([1.0, complex(0.0, math.inf)])
+
+
+def test_roots_take_exact_zero_roots_off_first():
+    rs = roots(Poly([0, 0, F(2, 3), F(-1, 9)]))
+    assert rs.roots[:2] == (0j, 0j)
+    assert rs.roots[2] == 6 + 0j
+    assert roots([0.0, 0.0, 1.0]).roots == (0j, 0j)
+
+
+def test_roots_of_a_complex_sequence():
+    # (x - i)(x + 2 - i) = x^2 + (2 - 2i) x - 1 - 2i
+    rs = roots([-1 - 2j, 2 - 2j, 1])
+    assert rs.roots[0] == pytest.approx(-2 + 1j, abs=1e-15)
+    assert rs.roots[1] == pytest.approx(1j, abs=1e-15)
+
+
+def _exact_quotient(cs, z):
+    """p(z) / p'(z) in Fractions, each part rounded once."""
+    x, y = F(z.real), F(z.imag)
+    pr = pi_ = dr = di = F(0)
+    for cr, ci in reversed(cs):
+        dr, di = dr * x - di * y + pr, dr * y + di * x + pi_
+        pr, pi_ = pr * x - pi_ * y + cr, pr * y + pi_ * x + ci
+    norm = dr * dr + di * di
+    return complex(float((pr * dr + pi_ * di) / norm), float((pi_ * dr - pr * di) / norm))
+
+
+@pytest.mark.parametrize("cs,z,real", [
+    ([(3, -1), (0, 2), (-5, 0), (1, 1)], 0.3 + 1.7j, False),  # Gaussian coefficients
+    ([(72, 0), (-16, 0), (1, 0)], 8.000000000000002 + 2.8284271247461903j, True),
+    ([(-6, 0), (11, 0), (-6, 0), (1, 0)], 2.0000000001 + 0j, True),  # the real path
+    ([(1, 0), (-3, 0), (7, 0)], 1e-30 + 0j, True),  # a point far below 1
+])
+def test_exact_newton_is_the_fraction_quotient_rounded_once(cs, z, real):
+    assert _exact_newton(cs, z, real) == _exact_quotient(cs, z)
+
+
+def test_exact_newton_at_a_root_is_zero():
+    assert _exact_newton([(-6, 0), (11, 0), (-6, 0), (1, 0)], 2 + 0j, True) == 0j
+
+
+# The table roots points of the benchmark: scriptL(1, 1) and scriptP(1, 2, 3)
+# have only real roots, scriptL(3, 3) has conjugate pairs from n = 2 on.
+ROOT_FAMILIES = {"scriptL(1,1)": script_l(1, 1), "scriptL(3,3)": script_l(3, 3),
+                 "scriptP(1,2,3)": script_p(1, 2, 3)}
+
+
+@pytest.mark.parametrize("name,n", [(name, n) for name in ROOT_FAMILIES for n in range(2, 25)])
+def test_roots_pass_the_residual_and_root_sum_checks(name, n):
+    member = make_member(ROOT_FAMILIES[name], n)
+    found = roots(member)
+    zs = found.roots
+    assert len(zs) == n and all(map(cmath.isfinite, zs))
+    monic = [float(c / member.coeffs[-1]) for c in member.coeffs]
+    scale = max(sum(abs(c) * abs(z) ** k for k, c in enumerate(monic)) for z in zs)
+    assert found.residual_bound <= 1e-8 * scale
+    vieta = float(-member.coeffs[-2] / member.coeffs[-1])
+    assert abs(sum(zs) - vieta) <= 1e-8 * max(1.0, sum(abs(z) for z in zs))
+
+
+def _sign_at(member, x: F) -> int:
+    acc, _ = _horner(member.nums, x.numerator, x.denominator)
+    return (acc > 0) - (acc < 0)
+
+
+@pytest.mark.parametrize("name", ["scriptL(1,1)", "scriptP(1,2,3)"])
+def test_every_root_of_a_real_rooted_member_is_bracketed_exactly(name):
+    # The member changes sign across x (1 -+ 2^-40) around every computed
+    # root x, and the n brackets are disjoint: n distinct real roots, so all.
+    width = F(1, 2**40)
+    for n in range(2, 25):
+        member = make_member(ROOT_FAMILIES[name], n)
+        brackets = []
+        for z in roots(member).roots:
+            assert abs(z.imag) <= width * abs(z.real)
+            x = F(z.real)
+            lo, hi = sorted((x * (1 - width), x * (1 + width)))
+            assert _sign_at(member, lo) * _sign_at(member, hi) < 0, (n, z)
+            brackets.append((lo, hi))
+        brackets.sort()
+        assert all(a[1] < b[0] for a, b in zip(brackets, brackets[1:])), n
+
+
+def test_conjugate_pairs_are_exactly_conjugate():
+    for n in (2, 5, 12, 24):
+        zs = roots(make_member(script_l(3, 3), n)).roots
+        assert all(z.conjugate() in zs for z in zs if abs(z.imag) > 1e-6), n
+    # n = 2: 8 -+ 2 sqrt(2) i, to the last bit (2 sqrt(2) = 2.82842712474619009...)
+    lo, hi = roots(make_member(script_l(3, 3), 2)).roots
+    assert (lo, hi) == (8 - 2.8284271247461903j, 8 + 2.8284271247461903j)
+    y = F(2.8284271247461903)
+    half_ulp = F(math.ulp(2.8284271247461903)) / 2
+    assert (y - half_ulp) ** 2 < 8 < (y + half_ulp) ** 2
 
 
 def test_discriminant_values_laguerre_side():

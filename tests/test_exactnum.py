@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from sobhyp.exactnum import Poly, as_rational, pochhammer
+from sobhyp.exactnum import Poly, _Record, _set, as_rational, pochhammer
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
 polys = st.lists(rationals, max_size=8).map(Poly)
@@ -277,3 +277,57 @@ def test_coeffs_are_a_cached_tuple_of_fractions(p):
     assert all(type(c) is F for c in cs)
     assert cs == tuple(F(n, p.den) for n in p.nums)
     assert p.coeffs is cs
+
+
+# --- immutable records -------------------------------------------------------
+
+
+class _Pair(_Record):
+    left: int
+    right: tuple
+
+    def __post_init__(self):
+        if self.left < 0:
+            raise ValueError("left must be nonnegative")
+        _set(self, "right", tuple(self.right))
+
+
+class _Single(_Record):
+    value: int
+
+
+def test_record_construction_and_validation():
+    assert _Pair(1, [2, 3]) == _Pair(left=1, right=(2, 3)) == _Pair(1, right=[2, 3])
+    assert _Pair(1, [2]).right == (2,)  # __post_init__ replaced the field
+    with pytest.raises(ValueError, match="nonnegative"):
+        _Pair(-1, ())
+    for args, kwargs in [((1,), {}), ((1, 2, 3), {}), ((1,), {"left": 1}),
+                         ((), {"left": 1, "other": 2})]:
+        with pytest.raises(TypeError):
+            _Pair(*args, **kwargs)
+
+
+def test_record_equality_hash_and_repr():
+    a, b = _Pair(1, (2, 3)), _Pair(1, (2, 3))
+    assert a == b and hash(a) == hash(b) and hash(a) == hash(a)
+    assert a != _Pair(1, (2, 4)) and a != _Single(1) and _Single(1) == _Single(1)
+    assert len({a, b, _Pair(2, ())}) == 2
+    assert repr(a) == "_Pair(left=1, right=(2, 3))"
+    assert repr(_Single(7)) == "_Single(value=7)"
+
+
+def test_record_is_immutable():
+    a = _Pair(1, ())
+    with pytest.raises(AttributeError):
+        a.left = 2
+    with pytest.raises(AttributeError):
+        del a.left
+    assert a.left == 1
+
+
+def test_record_pickle_and_copy_rebuild_from_the_fields():
+    a = _Pair(1, (2, 3))
+    hash(a)  # a cached hash must not travel
+    for clone in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert "_hash" not in vars(clone)
+        assert clone == a and hash(clone) == hash(a)

@@ -1,4 +1,8 @@
-"""The package namespace: the public names and their order."""
+"""The package namespace: the public names and their order, and a cold import."""
+
+import os
+import subprocess
+import sys
 
 import sobhyp
 
@@ -28,3 +32,15 @@ def test_public_names_are_pinned_in_order():
 def test_every_public_name_resolves():
     for name in sobhyp.__all__:
         assert getattr(sobhyp, name) is not None, name
+
+
+def test_cold_import_leaves_dataclasses_and_inspect_out():
+    # The records are built on exactnum._Record: importing the CLI pulls in
+    # neither dataclasses nor inspect, the largest part of the cold start.
+    src = os.path.dirname(os.path.dirname(sobhyp.__file__))
+    code = ("import sys, sobhyp.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -5,7 +5,8 @@ is corrected by a Newton step coupled to the other approximations, so
 clusters repel each other and the whole root set converges together.  It
 runs in the stages of MPSolve (Bini & Robol, J. Comput. Appl. Math. 272,
 2014) that ``roots`` lists: a Newton-polygon start, float rounds stopped by a
-rounding-error bound, and a polish with p/p' evaluated exactly.
+rounding-error bound (around the roots' centroid where that is the better
+conditioned basis), and a polish with p/p' evaluated exactly.
 Discriminants of the degree-2 members have short closed forms whose sign
 classifies the root pair (real pair / double root / conjugate pair).
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 import cmath
 import sys
 from fractions import Fraction
-from math import exp, hypot, inf, log, pi, prod, ulp
+from math import exp, frexp, hypot, inf, log, pi, prod, ulp
 from operator import le
 from typing import Sequence, Union
 
@@ -43,8 +44,11 @@ _ABERTH_TOL = 1e-13
 _ABERTH_MAX_ITER = 200
 # A float Horner sum at z is within about 2 n eps sum_k |c_k| |z|^k of p(z)
 # (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, 5.1); the
-# float stage freezes a root once its residual is within this bound.
-_ROUNDING = 4 * sys.float_info.epsilon
+# float stage freezes a root once its residual is within this bound, plus
+# eps |z| |p'(z)|, what rounding z itself to a float can leave.
+_EPS = sys.float_info.epsilon
+_ROUNDING = 4 * _EPS
+_HALF_PRECISION = 2.0 ** -26
 
 
 class RootSet(_Record):
@@ -131,22 +135,57 @@ def _aberth_terms(zs: list[complex], i: int) -> list[complex]:
     return [1 / (z - v) for v in zs[:i]] + [1 / (z - v) for v in zs[i + 1:]]
 
 
-def _float_stage(cs: list[complex], zs: list[complex], max_iter: int):
+def _centered(cs: list[tuple[int, int]]) -> tuple[complex, list[tuple[int, int]]]:
+    """(c, qs): a dyadic c of 8 bits next to the centroid -c_(n-1) / (n c_n) of
+    the roots, and Gaussian-integer coefficients proportional to p(t + c)'s.
+
+    With c = w / 2^k, 2^(kn) p((y + w) / 2^k) = sum_j c_j 2^(k(n-j)) (y + w)^j
+    is shifted by w with repeated synthetic division in ints, and y = 2^k t.
+    """
+    n = len(cs) - 1
+    (ar, ai), (lr, li) = cs[-2], cs[-1]
+    norm = n * (lr * lr + li * li)
+    cr, ci = Fraction(-(ar * lr + ai * li), norm), Fraction(ar * li - ai * lr, norm)
+    k = max(0, 8 - frexp(float(max(abs(cr), abs(ci))))[1]) if cr or ci else 0
+    u, v = round(cr * 2 ** k), round(ci * 2 ** k)
+    es = [(a << k * (n - j), b << k * (n - j)) for j, (a, b) in enumerate(cs)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            (er, ei), (fr, fi) = es[j], es[j + 1]
+            es[j] = (er + u * fr - v * fi, ei + u * fi + v * fr)
+    return complex(u, v) / 2 ** k, [(er << k * m, ei << k * m) for m, (er, ei) in enumerate(es)]
+
+
+def _basis(cs: list[complex], center: complex) -> tuple:
+    """Horner data of p in powers of t = z - center, from its monic coefficients
+    there: (center, leading and lower coefficients, their moduli, and
+    4 n eps sum_k |c_k|, the bound's ceiling for |t| <= 1)."""
+    moduli = [abs(c) for c in cs[::-1]]
+    return center, cs[-1], cs[-2::-1], moduli, _ROUNDING * (len(cs) - 1) * sum(moduli)
+
+
+def _float_stage(exact: list[tuple[int, int]], cs: list[complex], zs: list[complex],
+                 max_iter: int):
     """Aberth rounds in float; a root freezes once its residual is rounding error.
 
+    Horner runs in powers of z, or, for a root that the bound there leaves
+    uncertain beyond half precision, in powers of z - c around the roots'
+    centroid c (``_centered``) when that basis has the smaller bound: a
+    cluster of roots away from 0 is much better conditioned around it.
     Returns (rounds, reason, residuals, errors).  ``reason`` is None once
     every root is frozen.  residuals[i] bounds |p(z_i)| (the float value
     plus the rounding bound) and errors[i], the bound over |p'(z_i)|,
     estimates how far z_i may be from its root.
     """
     n = len(zs)
-    lead, *rest = cs[::-1]
-    moduli = [abs(c) for c in cs[::-1]]
     # sum_k |c_k| r^k <= total max(1, r)^n: far from a root, where |p| is
     # above the bound even at that ceiling, the sum itself is not needed.
     # Past ``reach`` the power leaves the float range, and so does the bound.
-    ceiling = _ROUNDING * n * sum(moduli)
     reach = sys.float_info.max ** (1 / n)
+    # which[i]: 0 powers of z, undecided; 1 around the centroid; 2 powers of z.
+    plain = _basis(cs, 0j)
+    bases = [plain, None, plain]
+    which = [0] * n
     residuals = [inf] * n
     errors = [inf] * n
     active = range(n)
@@ -156,24 +195,44 @@ def _float_stage(cs: list[complex], zs: list[complex], max_iter: int):
         try:
             for i in active:
                 z = zs[i]
-                pv, dv = lead, 0j
-                for c in rest:
-                    dv = dv * z + pv
-                    pv = pv * z + c
-                size, r = abs(pv), abs(z)
-                if size <= ceiling * (1.0 if r <= 1.0 else r ** n if r < reach else inf):
-                    s = 0.0
-                    for m in moduli:
-                        s = s * r + m
-                    bound = _ROUNDING * n * s
-                    if size <= bound < inf:
-                        residuals[i] = size + bound
-                        errors[i] = bound / abs(dv) if dv else inf
-                        continue
+                while True:
+                    center, lead, rest, moduli, ceiling = bases[which[i]]
+                    t = z - center
+                    pv, dv = lead, 0j
+                    for c in rest:
+                        dv = dv * t + pv
+                        pv = pv * t + c
+                    size, r = abs(pv), abs(t)
+                    bound = inf
+                    if size <= ceiling * (1.0 if r <= 1.0 else r ** n if r < reach else inf):
+                        s = 0.0
+                        for m in moduli:
+                            s = s * r + m
+                        bound = _ROUNDING * n * s + _EPS * abs(z) * abs(dv)
+                        if not which[i] and bound > _HALF_PRECISION * abs(z) * abs(dv):
+                            if bases[1] is None:
+                                center, shifted = _centered(exact)
+                                try:
+                                    bases[1] = _basis(_monic_coeffs(shifted), center)
+                                except ValueError:  # it does not fit floats
+                                    bases[1] = plain
+                            center, _, _, moduli, _ = bases[1]
+                            r = abs(z - center)
+                            s1 = 0.0
+                            for m in moduli:
+                                s1 = s1 * r + m
+                            which[i] = 1 if s1 < s else 2
+                            if which[i] == 1:
+                                continue
+                    break
+                if size <= bound < inf:
+                    residuals[i] = size + bound
+                    errors[i] = bound / abs(dv) if dv else inf
+                    continue
                 left.append(i)
                 if not dv:
                     # A stationary point: nudge and let the next round recover.
-                    zs[i] = z + (1 + 1j) * _ROUNDING * max(1.0, r)
+                    zs[i] = z + (1 + 1j) * _ROUNDING * max(1.0, abs(z))
                     continue
                 newton = pv / dv
                 zs[i] = z - newton / (1 - newton * sum(_aberth_terms(zs, i)))
@@ -276,9 +335,10 @@ def _exact_stage(cs, real: bool, zs: list[complex], todo: list[int], reals: set,
     Returns (sweeps, reason), ``reason`` None once every root is done.
     """
     sweeps = 0
-    for sweeps in range(1, max_iter + 1):
-        if not todo:
-            return sweeps - 1, None
+    while todo:
+        if sweeps == max_iter:
+            return sweeps, f"exact root refinement did not converge in {sweeps} sweeps"
+        sweeps += 1
         left = []
         try:
             for i in todo:
@@ -297,7 +357,7 @@ def _exact_stage(cs, real: bool, zs: list[complex], todo: list[int], reals: set,
         except (ZeroDivisionError, OverflowError):
             return sweeps, f"exact root refinement broke down in sweep {sweeps}"
         todo = left
-    return sweeps, f"exact root refinement did not converge in {sweeps} sweeps"
+    return sweeps, None
 
 
 def _horner_float(cs: list[complex], z: complex) -> complex:
@@ -319,7 +379,9 @@ def roots(
 
     1. start points on the circles of p's Newton polygon (``_start``);
     2. float Aberth rounds, each root frozen once |p(z)| falls within the
-       rounding-error bound of float Horner;
+       rounding-error bound of float Horner, which runs in powers of z or,
+       where that leaves a root uncertain beyond half precision, of z - c
+       around the roots' centroid c (``_float_stage``);
     3. for each root whose error estimate (that bound over |p'(z)|) is above
        a few ulps, Aberth sweeps with p/p' evaluated exactly on the integer
        coefficients, until its correction, or the next one that Newton's
@@ -344,7 +406,7 @@ def roots(
     if len(exact) == 1:
         return RootSet((0j,) * zeros, 0.0, 0)
     zs = _start(exact)
-    rounds, reason, residuals, errors = _float_stage(cs[zeros:], zs, max_iter)
+    rounds, reason, residuals, errors = _float_stage(exact, cs[zeros:], zs, max_iter)
     sweeps = 0
     if reason is None:
         real = not any(ci for _, ci in exact)

@@ -120,16 +120,18 @@ def test_roots_stop_at_the_first_non_finite_round():
 
 
 def test_roots_nonconvergence_in_the_exact_stage_attaches_partial():
-    # A fourfold root off the binary grid: the float stage freezes all four
-    # approximations within 20 rounds, but Aberth converges only linearly on
+    # A threefold root off the binary grid: the float stage freezes every
+    # approximation within 20 rounds, but Aberth converges only linearly on
     # the multiple root, so the exact sweeps run out.
-    p = Poly([1, -6, 9]) ** 2
+    p = Poly([-1, 5]) ** 3 * Poly([7, 1])
     with pytest.raises(ConvergenceError, match="exact root refinement did not converge in 20") as info:
         roots(p, max_iter=20)
     partial = info.value.partial
     assert len(partial.roots) == 4
     assert 20 < partial.iterations <= 40
-    assert all(abs(z - F(1, 3)) < 1e-3 for z in partial.roots)
+    assert partial.roots[0] == pytest.approx(-7, abs=1e-12)
+    assert all(abs(z - F(1, 5)) < 1e-3 for z in partial.roots[1:])
+    assert roots(p, max_iter=40).iterations > 20
 
 
 @pytest.mark.parametrize("p", [

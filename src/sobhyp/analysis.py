@@ -242,7 +242,8 @@ def _float_stage(exact: list[tuple[int, int]], cs: list[complex], zs: list[compl
         except ZeroDivisionError:
             return rounds, f"two root approximations met in round {rounds}", residuals, errors
         if not finite:
-            return rounds, f"root iteration left the float range in round {rounds}", residuals, errors
+            reason = f"root iteration left the float range in round {rounds}"
+            return rounds, reason, residuals, errors
         active = left
         if not active:
             return rounds, None, residuals, errors

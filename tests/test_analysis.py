@@ -8,6 +8,7 @@ import pytest
 
 from sobhyp.analysis import (
     RootSet,
+    _centered,
     _exact_coeffs,
     _exact_newton,
     _monic_coeffs,
@@ -124,7 +125,7 @@ def test_roots_nonconvergence_in_the_exact_stage_attaches_partial():
     # approximation within 20 rounds, but Aberth converges only linearly on
     # the multiple root, so the exact sweeps run out.
     p = Poly([-1, 5]) ** 3 * Poly([7, 1])
-    with pytest.raises(ConvergenceError, match="exact root refinement did not converge in 20") as info:
+    with pytest.raises(ConvergenceError, match="refinement did not converge in 20") as info:
         roots(p, max_iter=20)
     partial = info.value.partial
     assert len(partial.roots) == 4
@@ -196,6 +197,27 @@ def _exact_quotient(cs, z):
 ])
 def test_exact_newton_is_the_fraction_quotient_rounded_once(cs, z, real):
     assert _exact_newton(cs, z, real) == _exact_quotient(cs, z)
+
+
+@pytest.mark.parametrize("p", [make_member(script_p(1, 2, 3), 12), make_member(script_l(1, 1), 9),
+                               Poly([5, 0, 0, 1]), Poly([F(-1, 3), 1])])
+def test_centered_is_the_exact_taylor_shift_to_a_short_dyadic(p):
+    center, qs = _centered(_exact_coeffs(p))
+    c, centroid = F(center.real), F(-p.nums[-2], (len(p.nums) - 1) * p.nums[-1])
+    assert center.imag == 0 and c.denominator & (c.denominator - 1) == 0  # dyadic
+    assert abs(c - centroid) <= abs(centroid) / 2**8  # to 8 bits
+    want = p(Poly([c, 1]))  # p(t + c)
+    assert [F(a, qs[-1][0]) for a, _ in qs] == [x / want.lead for x in want.coeffs]
+    assert all(b == 0 for _, b in qs)
+
+
+def test_centered_shifts_gaussian_coefficients():
+    cs = [(-1, -2), (2, -2), (1, 0)]  # (x - i)(x + 2 - i), centroid -1 + i
+    center, qs = _centered(cs)
+    assert center == -1 + 1j
+    q = [complex(a, b) / complex(*qs[-1]) for a, b in qs]
+    for t in (0.5, 0.25 - 1j, 2j):
+        assert _eval(q, t) == pytest.approx(_eval([complex(a, b) for a, b in cs], t + center))
 
 
 def test_exact_newton_at_a_root_is_zero():

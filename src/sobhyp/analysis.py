@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 import sys
 from fractions import Fraction
-from math import exp, frexp, hypot, inf, log, pi, prod, ulp
+from math import exp, frexp, hypot, inf, ldexp, log, pi, prod, ulp
 from operator import le
 from typing import Sequence, Union
 
@@ -153,7 +153,8 @@ def _centered(cs: list[tuple[int, int]]) -> tuple[complex, list[tuple[int, int]]
         for j in range(n - 1, i - 1, -1):
             (er, ei), (fr, fi) = es[j], es[j + 1]
             es[j] = (er + u * fr - v * fi, ei + u * fi + v * fr)
-    return complex(u, v) / 2 ** k, [(er << k * m, ei << k * m) for m, (er, ei) in enumerate(es)]
+    center = complex(ldexp(u, -k), ldexp(v, -k))
+    return center, [(er << k * m, ei << k * m) for m, (er, ei) in enumerate(es)]
 
 
 def _basis(cs: list[complex], center: complex) -> tuple:

@@ -18,9 +18,14 @@ The exact route is a Gram matrix over their Hankel matrix (Gautschi,
 *Orthogonal Polynomials: Computation and Approximation*, 2004, section 2.1):
 with U = D u and V = D v,  <u, v> = sum_{j,k} U_j V_k mu_{j+k}.  Each
 lowered member is held the same way (FLINT's ``fmpq_poly`` layout), so a
-Hankel row v_n = H U_n costs O(N^2) integer operations and each pair after
-it one integer dot product: O(N^3) for every pair up to degree N, with one
-lowering per member and one ``Fraction`` per pair.
+Hankel row v_n = H U_n is integer work and each pair after it one integer
+dot product, with one lowering per member and one ``Fraction`` per pair.
+The row stops where the longest member read against it ends, at k <= n in
+degree order.  On the Laguerre side mu_{j+k} = mu_k (q+k)_j, so the row is
+Horner's rule in the rising-factorial basis (the Chu-Vandermonde sum of
+Andrews, Askey & Roy, *Special Functions*, 1999, section 2.2, computed in
+full, not assumed to vanish): each step multiplies a big integer by a small
+one.  The diagonal closed forms ``a_n_normalized`` are products of ints.
 
 The quadrature route recomputes <u, v> through a Gauss rule, purely as an
 independent cross-check.  Every float node and weight is a dyadic rational,
@@ -36,11 +41,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import factorial, prod
-from operator import mul
+from operator import add, mul
 
 from .diffop import DiffOp, _weight_and_orders, composed_lowering
-from .exactnum import Poly, _horner, _Record, as_rational, pochhammer
+from .exactnum import Poly, _horner, _Record, _scaled, as_rational
 from .families import FamilySpec, _series_terms, make_member
 
 __all__ = [
@@ -128,20 +134,46 @@ def _gram_rows(form: SobolevForm, ys):
     """Yield, for each i, the list of <ys[i], ys[j]> over j = 0..i.
 
     Each member is lowered once and held as integers U_i over one
-    denominator d_i; the moments mu_0..mu_{2 top - 2} (top the longest U_i)
-    are held as integers M over one denominator D.  Row i forms the Hankel
-    product v_i[k] = sum_j U_i[j] M[j + k] once, and every pair in it is
-    then one integer dot product:  <y_i, y_j> = (U_j . v_i) / (d_i d_j D).
+    denominator d_i; the moments are held as integers M over one
+    denominator D.  Row i forms the Hankel row v_i[k] = sum_j U_i[j] mu_{j+k}
+    once, and every pair in it is then one integer dot product:
+    <y_i, y_j> = (U_j . v_i) / (d_i d_j D_i), D_i the row's denominator.
+
+    The row stops below ``need``, the longest U_j over j <= i, since no pair
+    of the row reads further; for members in degree order that is k <= i.
+    On the Laguerre side mu_{j+k} = mu_k (q + k)_j, so with q = P/Q
+    v_i[k] = mu_k sum_j U_i[j] (q + k)_j, Horner's rule in the rising-factorial
+    basis: every k advances at once by acc <- U_i[j] Q^(J-j) + (P + (k+j) Q) acc,
+    J = len(U_i) - 1, one big by small product per entry and step, and
+    v_i[k] = mu_k acc[k] over D Q^J.  For a family member that sum vanishes
+    below k = J by Chu-Vandermonde; it is computed all the same, since the
+    check must not assume what it checks.  On the Jacobi side the moment ratio
+    (a + k)_j / (a + b + k)_j has no such form, and each v_i[k] is an integer
+    dot product of U_i with the moments from mu_k on.
     """
     lowered = [(u.nums, u.den) for u in map(form.dop, ys)]
     top = max((len(u) for u, _ in lowered), default=0)
+    laguerre = form.weight.kind == LAGUERRE_WEIGHT
     # Every moment is positive, so none is stripped; at top 0 mu_0 goes unread.
-    moments = _moments(form.weight, max(2 * top - 2, 0))
+    moments = _moments(form.weight, max(top - 1 if laguerre else 2 * top - 2, 0))
     mu, mu_den = moments.nums, moments.den
+    P, Q = _scaled(form.weight.params[0])
+    need = 0
     for i, (u, u_den) in enumerate(lowered):
-        v = [sum(map(mul, u, mu[k:])) for k in range(top)]
+        need = max(need, len(u))
+        if not laguerre:
+            v, v_den = [sum(map(mul, u, mu[k:])) for k in range(need)], mu_den
+        elif not u:
+            v, v_den = [], 1
+        else:
+            J = len(u) - 1
+            acc = [u[J]] * need
+            for j in range(J - 1, -1, -1):
+                step = range(P + j * Q, P + (j + need) * Q, Q)  # P + (k+j) Q over k
+                acc = list(map(add, repeat(u[j] * Q ** (J - j)), map(mul, step, acc)))
+            v, v_den = list(map(mul, mu, acc)), mu_den * Q**J
         yield [
-            Fraction(sum(map(mul, w, v)), u_den * w_den * mu_den)
+            Fraction(sum(map(mul, w, v)), u_den * w_den * v_den)
             for w, w_den in lowered[: i + 1]
         ]
 
@@ -153,22 +185,28 @@ def sobolev_inner_exact(form: SobolevForm, yn: Poly, ym: Poly) -> Fraction:
 
 
 def a_n_normalized(spec: FamilySpec, n: int) -> Fraction:
-    """Closed form of the diagonal value <y_n, y_n> under the family's form."""
+    """Closed form of the diagonal value <y_n, y_n> under the family's form.
+
+    Laguerre side n! / (q)_n, Jacobi side n! (b)_n / ((a)_n (2n+a+b-1) (a+b)_(n-1)),
+    each times the squared product of (r-1)! over the lowering orders.  With the
+    weight parameters over one denominator L (``_scaled``) every Pochhammer
+    symbol is an integer product over L to a power, so the value is one
+    Fraction of two ints.
+    """
     if n < 0:
         raise ValueError("member index must be nonnegative")
     head, orders = _weight_and_orders(spec)
-    pref = Fraction(prod(factorial(r - 1) for r in orders)) ** 2
+    pref = prod(factorial(r - 1) for r in orders) ** 2 * factorial(n)
     if len(head) == 1:
-        (q,) = head
-        return pref * factorial(n) / pochhammer(q, n)
-    a, b = head
+        P, Q = _scaled(*head)
+        return Fraction(pref * Q**n, prod(range(P, P + n * Q, Q)))
     if n == 0:
-        return pref
-    return (
-        pref
-        * factorial(n)
-        * pochhammer(b, n)
-        / (pochhammer(a, n) * (2 * n + a + b - 1) * pochhammer(a + b, n - 1))
+        return Fraction(pref)
+    A, B, L = _scaled(*head)
+    S = A + B
+    return Fraction(
+        pref * prod(range(B, B + n * L, L)) * L**n,
+        prod(range(A, A + n * L, L)) * (2 * n * L + S - L) * prod(range(S, S + (n - 1) * L, L)),
     )
 
 

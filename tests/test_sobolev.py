@@ -1,5 +1,6 @@
 """Sobolev forms: moments, exact orthogonality, Gauss rules, quadrature."""
 
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -14,6 +15,7 @@ from sobhyp.sobolev import (
     ConvergenceError,
     OrthogonalityReport,
     QuadRule,
+    SobolevForm,
     WeightSpec,
     a_n_normalized,
     gauss_rule,
@@ -190,6 +192,86 @@ def test_wrong_member_fails_exactly_its_pairs(monkeypatch):
     assert [(n, m) for n, m, _, _ in report.failures] == [
         (3, 0), (3, 1), (3, 2), (3, 3), (4, 3), (5, 3)
     ]
+
+
+_polys = st.lists(
+    st.fractions(min_value=-8, max_value=8, max_denominator=9), max_size=9
+).map(Poly)
+_laguerre_weights = st.builds(
+    lambda p, q: laguerre_weight(F(p, q)),
+    st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=12),
+)
+_jacobi_weights = st.builds(jacobi_weight, _positive, _positive)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(_laguerre_weights, _jacobi_weights),
+    st.lists(_orders, max_size=3),
+    _polys,
+    _polys,
+)
+def test_inner_exact_matches_reference_on_random_polynomials(weight, orders, u, v):
+    # u and v come in either degree order, so a row must reach past its own
+    # member whenever the other operand is longer.
+    form = SobolevForm(weight, composed_lowering(orders))
+    assert sobolev_inner_exact(form, u, v) == _reference_inner(form, u, v)
+    assert sobolev_inner_exact(form, v, u) == _reference_inner(form, u, v)
+
+
+def _closed_form_diagonal(spec, n):
+    """A_n from Fraction Pochhammer symbols, independent of ``a_n_normalized``."""
+    kind_l = spec.kind in ("scriptL", "boldL")
+    head = spec.params[:1] if kind_l else spec.params[:2]
+    pref = F(math.prod(math.factorial(int(r) - 1) for r in spec.params[len(head):])) ** 2
+    if kind_l:
+        return pref * math.factorial(n) / pochhammer(head[0], n)
+    a, b = head
+    if n == 0:
+        return pref
+    return (
+        pref * math.factorial(n) * pochhammer(b, n)
+        / (pochhammer(a, n) * (2 * n + a + b - 1) * pochhammer(a + b, n - 1))
+    )
+
+
+@pytest.mark.parametrize("spec", [
+    script_l(F(1, 2), 3),
+    script_l(F(7, 12), 1),  # r = 1: no factorial prefactor
+    bold_l(F(7, 3)),  # no slot
+    bold_l(5, [1, 2, 4]),
+    script_p(F(1, 3), F(2, 3), 2),  # a + b = 1
+    script_p(F(1, 3), F(5, 7), 1),
+    bold_p(F(3, 4), F(1, 4)),  # a + b = 1, no slot
+    bold_p(2, F(5, 6), [3, 1]),
+])
+def test_diagonal_matches_fraction_closed_form(spec):
+    for n in range(81):
+        got = a_n_normalized(spec, n)
+        assert type(got) is F, (n, type(got))
+        assert got == _closed_form_diagonal(spec, n), n
+
+
+# SHA-256 of repr(verify_orthogonality(spec, nmax).entries), recorded before the
+# Gram rows were trimmed and the Laguerre rows moved to rising-factorial Horner.
+_ENTRY_DIGESTS = [
+    (script_l(F(1, 2), 3), 32, "997cfc41f5ff2b634980a0cfcd450201920ab8e7333d971acf22804fea7525b7"),
+    (script_l(F(1, 2), 3), 100, "84fc935670175da6b5c0a9ddb624ffb62090886f155d36528aa41263df87ad7a"),
+    (bold_l(F(7, 3), [2, 3]), 32, "a73e5c5bbfc2c17ca6ba144fa537fbfdab1559f6b152acaed8e8776dfeec7668"),
+    (bold_l(F(7, 3), [2, 3]), 100, "95788be8ca29a254d31481f18b6cd553abe949a916f09a883222c5ed44712640"),
+    (bold_p(1, 2, [2, 3]), 32, "06a7e6585e1f322ee4880076c85cb41b3391181e6d7b9d62d23dd60a9cef5b6e"),
+    (bold_p(1, 2, [2, 3]), 100, "0f99b621f46800ffe6cd1f74dfbad0a2638b92b3e1c6b77c291721e426e445b2"),
+    (script_p(F(1, 3), F(5, 7), 2), 32,
+     "1bb466eac444db37f2d9197bb8bf3e830ead82b5e822d2a2b3ba2a5d846f0c7c"),
+    (script_p(F(1, 3), F(5, 7), 2), 100,
+     "fa51f0bc2f1f57d8edf15fde209bba059e5b6ade2f168e1ee6ba8022db1e3b29"),
+]
+
+
+@pytest.mark.parametrize("spec,nmax,digest", _ENTRY_DIGESTS)
+def test_orthogonality_entries_are_pinned(spec, nmax, digest):
+    entries = verify_orthogonality(spec, nmax).entries
+    assert hashlib.sha256(repr(entries).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("spec", [script_l(1, F(3, 2)), bold_p(1, 2, [2, F(5, 2)])])

@@ -27,6 +27,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .analysis import discriminant_L, discriminant_P, integral_rep_check, limit_check, roots
 from .diffop import ode3_residual, pencil_residual
@@ -245,6 +246,10 @@ def _cmd_verify_limit(args):
     if len(bs) < 2:
         # One error gives no ratio, so the halving law would go untested.
         raise ValueError(f"{args.subject} needs at least two --b-values, got {len(bs)}")
+    bad = next((b for b in bs if b <= 0), None)
+    if bad is not None:
+        # scriptP(q, b, r) would refuse it in the name of a family this command never names.
+        raise ValueError(f"{args.subject} needs strictly positive --b-values, got {bad}")
     try:
         errors = limit_check(args.q, args.r, args.n, x, bs)
     except OverflowError:
@@ -486,6 +491,7 @@ _LEAVES = {
 }
 
 
+@lru_cache(maxsize=None)
 def _build_parser(path=None) -> argparse.ArgumentParser:
     """The command tree with only the leaf at ``path``, or with every leaf when
     ``path`` is None.
@@ -494,6 +500,10 @@ def _build_parser(path=None) -> argparse.ArgumentParser:
     the same arguments in either tree.  Each group's metavar spells every
     command, so a one-leaf tree's usage lines, which an unrecognized argument
     prints, and so its errors, read the same as well.
+
+    Each tree is built on first use and then reused: ``parse_args`` fills a
+    fresh namespace from the actions' defaults and leaves the parser as it
+    was, and help and usage errors read the terminal width when they print.
     """
     parser = argparse.ArgumentParser(
         prog="sobhyp",

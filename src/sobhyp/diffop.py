@@ -203,8 +203,8 @@ def ode3_residual(spec: FamilySpec, n: int) -> Poly:
     """
     if spec.kind not in _LAYOUTS:
         raise ValueError(f"no third-order equation for family kind {spec.kind!r}")
-    upper, lower = _series_params(spec, n)
-    du, dl = prod(u.denominator for u in upper), prod(v.denominator for v in lower)
-    bands = ((-1, lambda m: m * du * prod(v.numerator + (m - 1) * v.denominator for v in lower)),
-             (0, lambda m: -dl * prod(u.numerator + m * u.denominator for u in upper)))
+    upper, lower = ([(v.numerator, v.denominator) for v in vs] for vs in _series_params(spec, n))
+    du, dl = prod(d for _, d in upper), prod(d for _, d in lower)
+    bands = ((-1, lambda m: m * du * prod(p + (m - 1) * d for p, d in lower)),
+             (0, lambda m: -dl * prod(p + m * d for p, d in upper)))
     return _band_pass(make_member(spec, n), bands, du * dl)

@@ -167,21 +167,23 @@ def _series_terms(up: Sequence, low: Sequence, n: int) -> Poly:
     denominator.  A negative lower parameter can make that denominator
     negative; every numerator then changes sign with it.
     """
-    up_scale = prod(u.denominator for u in up)
-    low_scale = prod(v.denominator for v in low)
+    up = [(u.numerator, u.denominator) for u in up]
+    low = [(v.numerator, v.denominator) for v in low]
+    up_scale = prod(d for _, d in up)
+    low_scale = prod(d for _, d in low)
     suffix = [1] * (n + 1)  # suffix[k] = M_k ... M_{n-1}
     for k in range(n - 1, -1, -1):
         m = (k + 1) * up_scale
-        for v in low:
-            m *= v.numerator + k * v.denominator
+        for p, d in low:
+            m *= p + k * d
         suffix[k] = suffix[k + 1] * m
     sign = -1 if suffix[0] < 0 else 1  # _poly takes a positive denominator
     head = sign
     nums = [sign * suffix[0]]
     for k in range(n):
         head *= low_scale
-        for u in up:
-            head *= u.numerator + k * u.denominator
+        for p, d in up:
+            head *= p + k * d
         nums.append(head * suffix[k + 1])
     return _poly(nums, sign * suffix[0])
 

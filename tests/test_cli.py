@@ -388,6 +388,16 @@ def test_verify_limit_needs_two_b_values(capsys):
     assert err == "error: limit needs at least two --b-values, got 1\n"
 
 
+@pytest.mark.parametrize("values, bad", [("0,256", "0"), ("256,-1/2", "-1/2")])
+def test_verify_limit_names_a_nonpositive_b_value(capsys, values, bad):
+    # The Jacobi-side member scriptP(q, b, r) is never named on this command line.
+    code, out, err = run_cli(
+        capsys, "verify", "limit", "--q", "2", "--r", "3", "--n", "4", "--b-values", values
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: limit needs strictly positive --b-values, got {bad}\n"
+
+
 def test_verify_psi_pass(capsys):
     code, doc, err = run_json(
         capsys, "verify", "psi", "--a", "1", "--b", "2", "--c", "3", "--nmax", "6"
@@ -1018,11 +1028,16 @@ def test_leaf_parse_usage_error_matches_the_whole_tree(capsys, monkeypatch, argv
     assert got[0] == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "pencil", "--family", "boldL", "--q", "2", "--rs", "2,3", "--nmax", "2"],
-    ["coeffs", "--family", "scriptL", "--q", "3", "--r", "3", "--n", "2"],
+@pytest.mark.parametrize("argv, again", [
+    (["verify", "pencil", "--family", "boldL", "--q", "2", "--rs", "2,3", "--nmax", "2"],
+     ["verify", "pencil", "--family", "scriptL", "--q", "3", "--r", "2", "--nmax", "3",
+      "--format", "json"]),
+    (["coeffs", "--family", "scriptL", "--q", "3", "--r", "3", "--n", "2"],
+     ["coeffs", "--family", "boldP", "--a", "1", "--b", "2", "--cs", "2,3", "--n", "4",
+      "--format", "csv"]),
 ])
-def test_main_builds_only_the_parsers_on_its_path(capsys, monkeypatch, argv):
+def test_main_builds_only_the_parsers_on_its_path(capsys, monkeypatch, argv, again):
+    _build_parser.cache_clear()
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -1034,6 +1049,63 @@ def test_main_builds_only_the_parsers_on_its_path(capsys, monkeypatch, argv):
     assert main(argv) == 0
     path = argv[:2] if argv[0] == "verify" else argv[:1]
     assert built == [" ".join(["sobhyp", *path[:i]]) for i in range(len(path) + 1)]
+    # The same leaf with other flag values reuses the tree it built.
+    built.clear()
+    assert main(again) == 0
+    assert built == []
+
+
+# --- reused leaf parsers ------------------------------------------------------
+#
+# ``main`` builds each leaf's tree once per process and parses every later call
+# on that leaf with it, so no call may leave state behind for the next.
+
+COEFFS = ["coeffs", "--family", "scriptL", "--q", "3", "--r", "3", "--n", "2"]
+
+
+def test_reused_leaf_forgets_format_and_out(tmp_path, capsys):
+    target, csv = tmp_path / "doc.csv", "k,coefficient\n0,1\n1,-2/9\n2,1/72\n"
+    assert main([*COEFFS, "--format", "csv", "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == csv
+    code, out, _ = run_cli(capsys, *COEFFS)
+    assert code == 0
+    assert out.startswith("command: coeffs\n") and out.endswith("pass: true\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.csv"]
+    assert target.read_text() == csv
+
+
+def _fresh_process(argv):
+    proc = subprocess.run([sys.executable, "-m", "sobhyp.cli", *argv],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("path", [("verify", "integral-rep"), ("table", "quad-rule")])
+def test_reused_leaf_after_a_usage_error_reads_as_a_fresh_process(capsys, monkeypatch, path):
+    monkeypatch.setenv("COLUMNS", "80")
+    tail, typed, _ = LEAF_ARGS[path]
+    bad, good = [*path, *tail, typed, "x"], [*path, *tail]
+    with pytest.raises(SystemExit) as info:
+        main(bad)
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out, captured.err) == _fresh_process(bad)
+    assert run_cli(capsys, *good) == _fresh_process(good)
+
+
+@pytest.mark.parametrize("path", sorted(LEAF_ARGS))
+def test_reused_leaf_help_reads_the_width_of_its_own_call(capsys, monkeypatch, path):
+    monkeypatch.setenv("COLUMNS", "200")
+    main([*path, *LEAF_ARGS[path][0]])
+    with pytest.raises(SystemExit):
+        main([*path, "--help"])
+    capsys.readouterr()
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main([*path, "--help"])
+    assert info.value.code == 0
+    text = capsys.readouterr().out.replace("\noptional arguments:\n", "\noptions:\n")
+    assert hashlib.sha256(text.encode()).hexdigest() == HELP_SCREENS[path]
 
 
 def test_group_help_lists_every_subject(capsys):

@@ -296,8 +296,8 @@ def _exact_newton(cs: list[tuple[int, int]], z: complex, real: bool) -> complex:
     b_j of p and d_j of p', P_j = a' P_(j+1) + c_j 2^(k (n-j)) and
     D_j = a' D_(j+1) + P_(j+1), a' = a + i b, and p / p' = P_0 / (2^k D_0).
     For a real polynomial at a real point the imaginary parts are zero and
-    are not carried.  An int / int quotient is correctly rounded, as in
-    ``sobolev._exact_rule_sum`` for a real node.  Raises ZeroDivisionError
+    are not carried.  An int / int quotient is correctly rounded, as is the
+    one division of ``sobolev._exact_rule_sum``.  Raises ZeroDivisionError
     where p'(z) = 0 and p(z) != 0.
     """
     a, qa = z.real.as_integer_ratio()
@@ -464,9 +464,9 @@ def integral_rep_check(
     rounding error.  Needs r > 1 (resp. c > 1) for integrability.
 
     Both sides are exact until one rounding each: the member is evaluated at
-    the binary value of z, and the average is the integer rule sum of
-    ``sobolev._exact_rule_sum`` over y0_n(z t_i), rounded once by an int / int
-    division.
+    the binary value of z, and the average is ``sobolev._exact_rule_sum`` of
+    y0_n(z t): the rule's exact moments dotted with its coefficients, the
+    rational of the sum over the nodes, rounded once by an int / int division.
     """
     if n < 0:
         raise ValueError("member index must be nonnegative")

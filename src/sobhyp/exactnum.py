@@ -143,6 +143,17 @@ def _horner(nums, p: int, q: int) -> tuple[int, int]:
     return acc, scale
 
 
+def _convolve(a, b) -> list[int]:
+    """out[k] = sum_i a[i] b[k - i], one C-level dot product per k over b reversed."""
+    if not a or not b:
+        return []
+    lb, rb = len(b), b[::-1]
+    return [
+        sum(map(mul, a[max(0, k - lb + 1): k + 1], rb[max(0, lb - 1 - k):]))
+        for k in range(len(a) + lb - 1)
+    ]
+
+
 def _poly(nums: list[int], den: int) -> "Poly":
     """The Poly with coefficients nums[k] / den (den > 0), in canonical form."""
     while nums and not nums[-1]:
@@ -264,17 +275,7 @@ class Poly:
             return _poly([n * p for n in self.nums], self.den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.nums, other.nums
-        if not a or not b:
-            return _poly([], 1)
-        # out[k] = sum_i a[i] b[k - i], one C-level dot product per k over b reversed.
-        lb = len(b)
-        rb = b[::-1]
-        out = [
-            sum(map(mul, a[max(0, k - lb + 1): k + 1], rb[max(0, lb - 1 - k):]))
-            for k in range(len(a) + lb - 1)
-        ]
-        return _poly(out, self.den * other.den)
+        return _poly(_convolve(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 

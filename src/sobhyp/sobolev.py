@@ -29,7 +29,8 @@ one.  The diagonal closed forms ``a_n_normalized`` are products of ints.
 
 The quadrature route recomputes <u, v> through a Gauss rule, purely as an
 independent cross-check.  Every float node and weight is a dyadic rational,
-so the rule sum runs in Python ints and is rounded once (``_exact_rule_sum``).
+so the rule sum is one integer dot product with the rule's exact moments,
+cached per rule: the node-by-node rational, rounded once (``_exact_rule_sum``).
 The rules come from the Golub-Welsch construction: the eigenvalues of the
 Jacobi matrix of the three-term recurrence are the nodes and the squared
 first eigenvector components the weights, found by implicit-shift QL with
@@ -40,13 +41,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import repeat
 from math import factorial, prod
 from operator import add, mul
 
 from .diffop import DiffOp, _weight_and_orders, composed_lowering
-from .exactnum import Poly, _horner, _Record, _scaled, as_rational
+from .exactnum import Poly, _convolve, _Record, _scaled, as_rational
 from .families import FamilySpec, _series_terms, make_member
 
 __all__ = [
@@ -119,6 +120,7 @@ class SobolevForm(_Record):
     dop: DiffOp
 
 
+@lru_cache(maxsize=None)
 def sobolev_form_for(spec: FamilySpec) -> SobolevForm:
     """The form under which the family is orthogonal.
 
@@ -379,34 +381,45 @@ def gauss_rule(weight: WeightSpec, npoints: int) -> QuadRule:
     return QuadRule(weight, tuple(nodes), tuple(weights))
 
 
+@lru_cache(maxsize=None)
+def _rule_moments(rule: QuadRule, D: int) -> tuple[int, tuple[int, ...]]:
+    """(E, M) with M[s] / 2^E = sum_i w_i x_i^s exactly, for s = 0..D.
+
+    Floats are dyadic: x_i = a_i / 2^e_i and w_i = b_i / 2^f_i.  With E the
+    largest f_i + e_i D, node i adds b_i a_i^s << (E - f_i - e_i s) to M[s],
+    with b_i a_i^s kept as one running product.
+    """
+    parts = []
+    for x, w in zip(rule.nodes, rule.weights):
+        (a, two_e), (b, two_f) = x.as_integer_ratio(), w.as_integer_ratio()
+        parts.append((a, two_e.bit_length() - 1, b, two_f.bit_length() - 1))
+    E = max(f + e * D for _, e, _, f in parts)
+    M = [0] * (D + 1)
+    for a, e, b, f in parts:
+        for s in range(D + 1):
+            M[s] += b << (E - f - e * s)
+            b *= a
+    return E, tuple(M)
+
+
 def _exact_rule_sum(rule: QuadRule, *polys: Poly, point: Fraction = Fraction(1)) -> float:
     """sum_i w_i prod_j polys[j](point * x_i) over the rule, rounded once.
 
-    Nodes and weights are floats, so each is a dyadic rational:
-    x_i = a_i / 2^e_i and w_i = b_i / 2^f_i from ``float.as_integer_ratio``.
-    With point = P/Q, each polynomial is evaluated by integer Horner at
-    P a_i / (Q 2^e_i), which leaves it over den_j Q^d_j 2^(e_i d_j).  With
-    d = sum d_j, term i is then an int over den Q^d 2^(f_i + e_i d), where
-    den = prod den_j; a left shift puts every term over den Q^d 2^E, E the
-    largest of those exponents, and the sum is one int over that
-    denominator.  Its one rounding is a single int / int true division,
-    which is correctly rounded, so the float equals ``float`` of the same
-    rational built from Fractions.  No Fraction is built and no gcd taken.
+    The product is sum_s c_s x^s / den (c the numerators' convolution, den the
+    denominators' product, d its degree), so at point = P/Q the sum is
+    sum_s c_s P^s Q^(d-s) M_s / (den Q^d 2^E), with the moments to degree d
+    rounded up to odd: an n-point rule serves its degrees 2n - 2 and 2n - 1
+    from one cache entry.  That is the node-by-node rational, and one int /
+    int true division rounds it correctly, as ``float`` of the Fraction would.
     """
+    c = reduce(_convolve, [f.nums for f in polys])
+    if not c:
+        return 0.0
+    d = len(c) - 1
     P, Q = point.numerator, point.denominator
-    d = sum(max(len(f.nums) - 1, 0) for f in polys)
-    terms = []
-    for x, w in zip(rule.nodes, rule.weights):
-        a, two_e = x.as_integer_ratio()
-        b, two_f = w.as_integer_ratio()
-        e = two_e.bit_length() - 1
-        p, q = P * a, Q << e
-        for f in polys:
-            b *= _horner(f.nums, p, q)[0]
-        terms.append((b, two_f.bit_length() - 1 + e * d))
-    E = max(shift for _, shift in terms)
-    den = prod(f.den for f in polys) * Q**d
-    return sum(value << (E - shift) for value, shift in terms) / (den << E)
+    E, M = _rule_moments(rule, d | 1)
+    c = [n * P**s * Q ** (d - s) for s, n in enumerate(c)]
+    return sum(map(mul, c, M)) / ((prod(f.den for f in polys) * Q**d) << E)
 
 
 def sobolev_inner_quadrature(

@@ -1,10 +1,11 @@
 """The integer Gauss-rule sum against a Fraction reference, bit for bit.
 
-``sobolev._exact_rule_sum`` sums w_i * prod_j f_j(point * x_i) in ints over
-one power-of-two-aligned denominator and rounds once.  The reference below
-builds the same rational from ``Fraction`` values and rounds it with
-``float``; both roundings are correct, so the floats must be identical,
-sign of zero included (compared by ``repr`` as well as ``==``).
+``sobolev._exact_rule_sum`` sums w_i * prod_j f_j(point * x_i) as one integer
+dot product of the product's coefficients with the rule's exact moments
+(``sobolev._rule_moments``, cached per rule and degree) and rounds once.
+The reference below builds the same rational from ``Fraction`` values and
+rounds it with ``float``; both roundings are correct, so the floats must be
+identical, sign of zero included (compared by ``repr`` as well as ``==``).
 """
 
 import random
@@ -19,6 +20,7 @@ from sobhyp.families import bold_l, bold_p, make_member, script_l, script_p
 from sobhyp.sobolev import (
     QuadRule,
     _exact_rule_sum,
+    _rule_moments,
     gauss_rule,
     jacobi_weight,
     laguerre_weight,
@@ -29,6 +31,16 @@ from sobhyp.sobolev import (
 
 def _reference_rule_sum(rule, integrand):
     return float(sum(F(w) * integrand(F(x)) for x, w in zip(rule.nodes, rule.weights)))
+
+
+def _reference_product_sum(rule, polys, point=F(1)):
+    def integrand(x):
+        value = F(1)
+        for f in polys:
+            value *= f(point * x)
+        return value
+
+    return _reference_rule_sum(rule, integrand)
 
 
 def _same(got, want):
@@ -143,10 +155,55 @@ _points = st.one_of(
 @settings(deadline=None)
 @given(_rules(), st.lists(_polys, min_size=1, max_size=3), _points)
 def test_rule_sum_matches_fraction_reference(rule, polys, point):
-    def integrand(x):
-        value = F(1)
-        for f in polys:
-            value *= f(point * x)
-        return value
+    _same(_exact_rule_sum(rule, *polys, point=point), _reference_product_sum(rule, polys, point))
 
-    _same(_exact_rule_sum(rule, *polys, point=point), _reference_rule_sum(rule, integrand))
+
+def test_rule_sum_at_a_high_then_a_low_degree_and_the_reverse():
+    # The degree-9 product reads the moments to degree 9 and the degree-2
+    # one to degree 3: two entries for one rule, built in either order.
+    rule = gauss_rule(laguerre_weight(F(7, 3)), 4)
+    high = [Poly([1, -2, 3, F(4, 5), -5, 6, 7]), Poly([3, -1, 2, F(5, 3)])]
+    low = [Poly([1, -2, 1])]
+    for order in ([high, low], [low, high]):
+        _rule_moments.cache_clear()
+        for polys in order:
+            _same(_exact_rule_sum(rule, *polys), _reference_product_sum(rule, polys))
+        assert _rule_moments.cache_info().currsize == 2
+
+
+def test_rule_sum_on_extreme_nodes_and_weights():
+    # 3 * 2^53 is an integer float (binary exponent 0), 0.0 and a negative
+    # node enter their powers as they are, and 5e-324 is the least subnormal.
+    rule = QuadRule(
+        laguerre_weight(1), (3.0 * 2**53, 0.0, -3.25, 1e-300), (0.5, 5e-324, 0.25, 1.5)
+    )
+    for polys in ([Poly([1])], [Poly([F(1, 3), -2, 1])], [Poly(range(1, 12)), Poly([0, 1])]):
+        for point in (F(1), F(-5, 7)):
+            got = _exact_rule_sum(rule, *polys, point=point)
+            _same(got, _reference_product_sum(rule, polys, point))
+
+
+def test_three_polys_at_a_non_dyadic_point():
+    rule = gauss_rule(jacobi_weight(F(1, 2), 3), 5)
+    polys = [Poly([F(1, 3), -2, F(5, 7)]), Poly([-1, 0, 0, F(2, 9)]), Poly([F(11, 5), 1])]
+    for point in (F(-7, 3), F(2, 5)):
+        got = _exact_rule_sum(rule, *polys, point=point)
+        _same(got, _reference_product_sum(rule, polys, point))
+
+
+def test_inner_quadrature_cold_and_warm():
+    spec = script_p(F(3, 2), F(5, 3), 2)
+    form = sobolev_form_for(spec)
+    yn, ym = make_member(spec, 7), make_member(spec, 5)
+    want = _reference_quadrature(form, yn, ym)
+    _rule_moments.cache_clear()
+    _same(sobolev_inner_quadrature(form, yn, ym), want)
+    assert _rule_moments.cache_info().misses == 1
+    _same(sobolev_inner_quadrature(form, yn, ym), want)
+    assert _rule_moments.cache_info().hits == 1
+    # Degrees 7 + 6 and 7 + 5 both take the 7-point rule, exact to degree 13,
+    # and read one moment entry.
+    y6 = make_member(spec, 6)
+    _same(sobolev_inner_quadrature(form, yn, y6), _reference_quadrature(form, yn, y6))
+    info = _rule_moments.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sobhyp
 import sobhyp.sobolev
 from sobhyp.exactnum import Poly, pochhammer
 from sobhyp.families import bold_l, bold_p, make_member, script_l, script_p
@@ -17,6 +18,7 @@ from sobhyp.sobolev import (
     QuadRule,
     SobolevForm,
     WeightSpec,
+    _ql_implicit,
     a_n_normalized,
     gauss_rule,
     jacobi_weight,
@@ -73,6 +75,18 @@ def test_moment_uniform_case():
 def test_sobolev_form_requires_integer_operator_index():
     with pytest.raises(ValueError):
         sobolev_form_for(script_l(1, F(3, 2)))
+
+
+def test_sobolev_form_is_cached_and_still_validates():
+    for build in (lambda: script_l(F(1, 2), 3), lambda: bold_p(1, 2, [2, 3])):
+        assert sobolev_form_for(build()) is sobolev_form_for(build())
+    # A cache stores no exception, so an invalid order is rejected every time.
+    # (An order of 0 is already rejected when the spec is built.)
+    for spec in (script_l(1, F(3, 2)), bold_p(1, 2, [2, F(5, 2)])):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="positive integer"):
+                sobolev_form_for(spec)
+    assert sobhyp.sobolev_form_for is sobolev_form_for
 
 
 def test_diagonal_closed_form_script_l():
@@ -367,6 +381,16 @@ def test_quad_rule_invariants():
         assert all(inside(x) for x in rule.nodes)
         assert all(a < b for a, b in zip(rule.nodes, rule.nodes[1:]))
         assert sum(rule.weights) == pytest.approx(1.0, rel=1e-13)
+
+
+def test_ql_underflow_branch_keeps_both_blocks_spectra():
+    # e[0] = 1 deflates against 1e300, and e[2] = 5e-324 does not deflate
+    # (its bound eps * 1e-323 underflows to 0).  The sweep over rows 1..4
+    # rotates the block [[5e-324, 2], [2, 3]] with shift p = 1, then meets
+    # r = hypot(0, 0) == 0.0 at i = 2 and must take p back off d[3].
+    nodes, firsts = _ql_implicit([1e300, 0.0, 5e-324, 5e-324, 3.0], [1.0, -1.0, 5e-324, 2.0])
+    assert nodes == pytest.approx([-1.0, -1.0, 1.0, 4.0, 1e300], rel=1e-12)
+    assert math.fsum(z * z for z in firsts) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_gauss_rule_rejects_empty():

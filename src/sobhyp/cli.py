@@ -180,7 +180,12 @@ def _cmd_verify_orthogonality(args):
     spec, params = _family_from_args(args, _ALL_FAMILIES)
     report = verify_orthogonality(spec, args.nmax)
     # Each pair is compared once, here; the failures are read off the rows.
-    rows = [[n, m, str(got), str(want), got == want] for n, m, got, want in report.entries]
+    # Most entries are exactly 0, and a pair of zeros needs no str or ==.
+    rows = [
+        [n, m, "0", "0", True] if not got and not want
+        else [n, m, str(got), str(want), got == want]
+        for n, m, got, want in report.entries
+    ]
     failed = [row for row in rows if not row[4]]
     if failed:
         n, m, got, want, _ = failed[0]
@@ -358,9 +363,48 @@ def _cell_text(value) -> str:
     return str(value)
 
 
+@lru_cache(maxsize=None)
+def _json_encoder(level: int):
+    """The C-accelerated compact encoder whose item separator ends in the indent of ``level``."""
+    return json.JSONEncoder(separators=(",\n" + "  " * level, ": ")).encode
+
+
+def _scalars(items) -> bool:
+    """Whether no item is a dict, list or tuple, tested once per item type."""
+    return not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, items)))
+
+
+def _json(value, level: int = 0) -> str:
+    """``json.dumps(value, indent=2)`` for a value whose dicts have str keys,
+    to the byte.
+
+    A list of scalars is one call of the compact encoder, and so is a table
+    (a list of non-empty scalar rows), whose row boundaries are then fixed by
+    one ``str.replace``: the encoder escapes every newline inside a string,
+    so each raw newline it writes is a separator.  Anything else recurses.
+    """
+    pad, inner = "  " * level, "  " * (level + 1)
+    if isinstance(value, dict) and value:
+        items = (f"{_json_encoder(0)(k)}: {_json(v, level + 1)}" for k, v in value.items())
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if not isinstance(value, (list, tuple)) or not value:
+        return _json_encoder(0)(value)
+    if _scalars(value):
+        body = _json_encoder(level + 1)(value)[1:-1]
+    elif (all(value) and all(issubclass(t, (list, tuple)) for t in set(map(type, value)))
+          and _scalars(itertools.chain.from_iterable(value))):
+        deep = "  " * (level + 2)
+        rows = _json_encoder(level + 2)(value)[2:-2]
+        rows = rows.replace(f"],\n{deep}[", f"\n{inner}],\n{inner}[\n{deep}")
+        body = f"[\n{deep}{rows}\n{inner}]"
+    else:
+        body = (",\n" + inner).join(_json(v, level + 1) for v in value)
+    return "[\n" + inner + body + "\n" + pad + "]"
+
+
 def _render(doc: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(doc, indent=2) + "\n"
+        return _json(doc) + "\n"
     columns = doc["results"].get("columns", [])
     rows = doc["results"].get("rows", [])
     if fmt == "csv":

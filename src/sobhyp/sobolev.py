@@ -70,6 +70,9 @@ __all__ = [
 LAGUERRE_WEIGHT = "laguerre"
 JACOBI_WEIGHT = "jacobi"
 
+# Most Gram entries are exactly 0; they share this one Fraction.
+_ZERO = Fraction(0)
+
 
 class ConvergenceError(RuntimeError):
     """An iterative numeric procedure failed to settle within its budget."""
@@ -175,7 +178,7 @@ def _gram_rows(form: SobolevForm, ys):
                 acc = list(map(add, repeat(u[j] * Q ** (J - j)), map(mul, step, acc)))
             v, v_den = list(map(mul, mu, acc)), mu_den * Q**J
         yield [
-            Fraction(sum(map(mul, w, v)), u_den * w_den * v_den)
+            Fraction(dot, u_den * w_den * v_den) if (dot := sum(map(mul, w, v))) else _ZERO
             for w, w_den in lowered[: i + 1]
         ]
 
@@ -248,7 +251,7 @@ def verify_orthogonality(spec: FamilySpec, nmax: int) -> OrthogonalityReport:
     entries = []
     for n, row in enumerate(_gram_rows(form, members)):
         diagonal = a_n_normalized(spec, n)
-        entries += [(n, m, got, diagonal if n == m else Fraction(0)) for m, got in enumerate(row)]
+        entries += [(n, m, got, diagonal if n == m else _ZERO) for m, got in enumerate(row)]
     return OrthogonalityReport(spec, nmax, tuple(entries))
 
 
@@ -416,10 +419,19 @@ def _exact_rule_sum(rule: QuadRule, *polys: Poly, point: Fraction = Fraction(1))
     if not c:
         return 0.0
     d = len(c) - 1
-    P, Q = point.numerator, point.denominator
     E, M = _rule_moments(rule, d | 1)
-    c = [n * P**s * Q ** (d - s) for s, n in enumerate(c)]
-    return sum(map(mul, c, M)) / ((prod(f.den for f in polys) * Q**d) << E)
+    den = prod(f.den for f in polys)
+    if point != 1:
+        P, Q = point.numerator, point.denominator
+        c = [n * P**s * Q ** (d - s) for s, n in enumerate(c)]
+        den *= Q**d
+    return sum(map(mul, c, M)) / (den << E)
+
+
+@lru_cache(maxsize=None)
+def _lowered(form: SobolevForm, y: Poly) -> Poly:
+    """D y under the form, once per (form, member) on the quadrature route."""
+    return form.dop(y)
 
 
 def sobolev_inner_quadrature(
@@ -434,8 +446,8 @@ def sobolev_inner_quadrature(
     ``sobolev_inner_exact`` to measure only the rule's accuracy, which with
     the default (exactness-matching) point count is near machine precision.
     """
-    u = form.dop(yn)
-    v = form.dop(ym)
+    u = _lowered(form, yn)
+    v = _lowered(form, ym)
     if u.is_zero or v.is_zero:
         return 0.0
     if npoints is None:

@@ -4,12 +4,14 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import sobhyp.cli
 import sobhyp.sobolev
@@ -158,6 +160,30 @@ def test_verify_orthogonality_names_first_failure(capsys, monkeypatch):
     n, m, got, want, _ = next(row for row in doc["results"]["rows"] if not row[4])
     assert (n, m) == (3, 0)
     assert err == f"first failure: <y_3, y_0> = {got}, want {want}\n"
+
+
+def test_verify_orthogonality_perturbed_coefficient_fails_in_text(capsys, monkeypatch):
+    original = sobhyp.sobolev.make_member
+
+    def perturbed(spec, n):
+        y = original(spec, n)
+        return Poly([c + F(1, 7) if k == 2 else c for k, c in enumerate(y.coeffs)]) if n == 4 else y
+
+    monkeypatch.setattr(sobhyp.sobolev, "make_member", perturbed)
+    argv = ["verify", "orthogonality", "--family", "scriptL", "--q", "1/2", "--r", "3", "--nmax", "5"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    lines = out.splitlines()
+    assert "4  0  18/7  0  false" in lines
+    assert "4  3  0  0  true" in lines
+    assert "failures: 4" in lines and lines[-1] == "pass: false"
+    assert err == "first failure: <y_4, y_0> = 18/7, want 0\n"
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 1
+    assert doc["results"]["rows"][10:15] == [
+        [4, 0, "18/7", "0", False], [4, 1, "-72/7", "0", False], [4, 2, "48/7", "0", False],
+        [4, 3, "0", "0", True], [4, 4, "1187/35", "512/35", False],
+    ]
 
 
 def test_verify_orthogonality_bold_p(capsys):
@@ -899,6 +925,74 @@ def test_golden_cases_cover_every_subcommand():
                                   "integral-rep", "limit", "psi")),
         *(("table", w) for w in ("roots", "eval-grid", "quad-rule", "discriminant-grid")),
     }
+
+
+# --- the JSON writer ------------------------------------------------------------
+#
+# ``cli._json`` builds ``json.dumps(doc, indent=2)`` from the compact C
+# encoder's output.  It must give the same bytes on any document, not only on
+# the shapes the handlers build today.
+
+_JSON_STRINGS = st.one_of(
+    st.text(),
+    st.sampled_from(["", '"', "\\", "\n", "],", "],\n    [", "\u00e9", "\u2028", "\U0001f600",
+                     'a"b\\c\nd],e']),
+)
+_JSON_SCALARS = st.one_of(
+    _JSON_STRINGS,
+    st.integers(),
+    st.sampled_from([10**100, -(10**100), -1, 0]),
+    st.booleans(),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e308]),
+    st.none(),
+)
+
+
+def _json_tables(rows):
+    return st.lists(rows, max_size=4) | st.lists(rows, max_size=4).map(tuple)
+
+
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_JSON_STRINGS, inner, max_size=4),
+        # Tables of non-empty scalar rows, and tables with an empty row or a
+        # row holding a container.
+        _json_tables(st.lists(_JSON_SCALARS, min_size=1, max_size=4)),
+        _json_tables(st.lists(_JSON_SCALARS | inner, max_size=4)),
+    ),
+    max_leaves=40,
+)
+
+
+@given(_JSON_DOCS)
+@example({"rows": [[0, "],\n    [", 1.5], [1, "x", None]], "empty": [[], {}, ()]})
+@example([[1, 2], []])
+@example([[1, [2]], [3]])
+@example(((1, 2), (3, 4)))
+@example([math.nan, math.inf, -math.inf, -0.0, 1e308, 10**100, "\u00e9\n\"\\"])
+def test_json_writer_matches_json_dumps(doc):
+    assert sobhyp.cli._json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_json_output_is_json_dumps_of_the_document(capsys, monkeypatch, name):
+    docs = []
+    render = sobhyp.cli._render
+    monkeypatch.setattr(sobhyp.cli, "_render", lambda doc, fmt: docs.append(doc) or render(doc, fmt))
+    _, out, _ = run_cli(capsys, *GOLDEN_CASES[name], "--format", "json")
+    assert out == json.dumps(docs[0], indent=2) + "\n"
+
+
+def test_json_writer_joins_every_chunk_of_a_large_table():
+    # Before Python 3.12, CPython's C encoder hands a document this large back
+    # in several chunks (13 here on 3.11).
+    rows = [[i, f"{i}/7", i % 3 == 0, i / 7, None] for i in range(100_000)]
+    doc = {"results": {"columns": ["i", "s", "b", "x", "z"], "rows": rows}, "pass": True}
+    assert sobhyp.cli._json(doc) == json.dumps(doc, indent=2)
 
 
 # --- help screens -------------------------------------------------------------

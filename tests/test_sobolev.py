@@ -11,7 +11,7 @@ import sobhyp
 import sobhyp.sobolev
 from sobhyp.exactnum import Poly, pochhammer
 from sobhyp.families import bold_l, bold_p, make_member, script_l, script_p
-from sobhyp.diffop import composed_lowering, make_D_xi, pencil_residual
+from sobhyp.diffop import DiffOp, composed_lowering, make_D_xi, pencil_residual
 from sobhyp.sobolev import (
     ConvergenceError,
     OrthogonalityReport,
@@ -286,6 +286,37 @@ _ENTRY_DIGESTS = [
 def test_orthogonality_entries_are_pinned(spec, nmax, digest):
     entries = verify_orthogonality(spec, nmax).entries
     assert hashlib.sha256(repr(entries).encode()).hexdigest() == digest
+    # The exact zeros share one Fraction; every entry is still a Fraction.
+    assert all(type(got) is F and type(want) is F for _, _, got, want in entries)
+
+
+def _perturb_member_4(monkeypatch):
+    """Add 1/7 to the x^2 coefficient of y_4 wherever ``sobolev`` builds it."""
+    original = sobhyp.sobolev.make_member
+
+    def perturbed(spec, n):
+        y = original(spec, n)
+        if n != 4:
+            return y
+        coeffs = list(y.coeffs)
+        coeffs[2] += F(1, 7)
+        return Poly(coeffs)
+
+    monkeypatch.setattr(sobhyp.sobolev, "make_member", perturbed)
+
+
+@pytest.mark.parametrize("spec", [script_l(F(1, 2), 3), bold_p(1, 2, [2, 3])])
+def test_perturbed_coefficient_gives_nonzero_off_diagonal_entries(monkeypatch, spec):
+    _perturb_member_4(monkeypatch)
+    report = verify_orthogonality(spec, 6)
+    assert all(type(got) is F and type(want) is F for _, _, got, want in report.entries)
+    off = {(n, m): got for n, m, got, want in report.failures if n != m}
+    # A degree-2 change is orthogonal to y_3 and above, so only m <= 2 fail.
+    assert set(off) == {(4, 0), (4, 1), (4, 2)}
+    assert all(got != 0 for got in off.values())
+    assert not report.ok
+    entries = {(n, m): (got, want) for n, m, got, want in report.entries}
+    assert entries[4, 3] == (0, 0)
 
 
 @pytest.mark.parametrize("spec", [script_l(1, F(3, 2)), bold_p(1, 2, [2, F(5, 2)])])
@@ -448,3 +479,22 @@ def test_quadrature_point_override():
 def test_quadrature_zero_operand_shortcut():
     form = sobolev_form_for(script_l(1, 2))
     assert sobolev_inner_quadrature(form, Poly(), Poly([1])) == 0.0
+
+
+def test_quadrature_lowers_each_member_once(monkeypatch):
+    calls = []
+    apply = DiffOp.apply
+
+    def counted(self, y):
+        calls.append(y)
+        return apply(self, y)
+
+    # DiffOp.__call__ is an alias of DiffOp.apply: patch both names.
+    monkeypatch.setattr(DiffOp, "apply", counted)
+    monkeypatch.setattr(DiffOp, "__call__", counted)
+    form = sobolev_form_for(script_l(F(5, 3), 2))
+    ys = [Poly([k, F(1, 11 * k), 3, -k, F(k, 13)]) for k in range(1, 4)]
+    first = [sobolev_inner_quadrature(form, y, z) for y in ys for z in ys]
+    again = [sobolev_inner_quadrature(form, y, z) for y in ys for z in ys]
+    assert calls == ys
+    assert first == again

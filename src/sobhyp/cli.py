@@ -208,7 +208,9 @@ def _recurrence_residual(spec: FamilySpec, n: int):
 
 def _residual_cells(res) -> list:
     """The largest coefficient of an exact residual, and whether it vanishes."""
-    return [str(Fraction(max(map(abs, res.nums), default=0), res.den)), res.is_zero]
+    if res.is_zero:
+        return ["0", True]
+    return [str(Fraction(max(map(abs, res.nums)), res.den)), False]
 
 
 def _integral_rep_cells(args, spec: FamilySpec, n: int) -> list:

@@ -10,7 +10,9 @@ bands.  The lowering operators D_r y = (x^(r-1) y)^((r-1)) and their products
 (``composed_lowering``) have one band; the classical operators
 (``laguerre_operator`` / ``jacobi_operator``), the pencil residual with the
 lowering folded in, and the series' own equation, its term ratio in
-theta = x d/dx, have two.
+theta = x d/dx, have two.  Those two residuals share one shape, whose
+n-free band values each spec keeps as int tables (``_Bands``); each per-n
+residual is one fused int pass over the member's numerators against them.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from functools import lru_cache
 from math import factorial, lcm, perm, prod
 from typing import Callable, Sequence
 
-from .exactnum import Poly, _poly, _Record, _scaled, as_rational, pochhammer
-from .families import _LAYOUTS, FamilySpec, _series_params, make_member
+from .exactnum import Poly, _poly, _Record, _scaled, _set, as_rational, pochhammer
+from .families import _LAYOUTS, FamilySpec, make_member
 
 __all__ = [
     "DiffOp",
@@ -165,6 +167,42 @@ def jacobi_operator(a, b) -> tuple[DiffOp, Callable[[int], Fraction]]:
     return op, lambda n: -n * (n + a + b - 1)
 
 
+class _Bands:
+    """The n-free values of one spec's two-band residual, as int lists grown
+    on demand: the x^k coefficient of the degree-n residual of a member y
+    is (e_n - e_k) g(k) y_k + h(k) y_(k+1) over ``den``, with
+    e_k = k (A k + B), so e_k, g(k) and h(k) do not depend on n.
+    """
+
+    __slots__ = ("A", "B", "den", "_g_of", "_h_of", "e", "g", "h")
+
+    def __init__(self, A: int, B: int, den: int, g_of, h_of):
+        self.A, self.B, self.den, self._g_of, self._h_of = A, B, den, g_of, h_of
+        self.e: list[int] = []
+        self.g: list[int] = []
+        self.h: list[int] = []
+
+    def residual(self, y: Poly, n: int) -> Poly:
+        nums, e, g, h, A, B = y.nums, self.e, self.g, self.h, self.A, self.B
+        for k in range(len(e), len(nums)):
+            e.append(k * (A * k + B))
+            g.append(self._g_of(k))
+            h.append(self._h_of(k))
+        e_n = n * (A * n + B)
+        out = [(e_n - ek) * gk * yk + hk * yk1
+               for ek, gk, hk, yk, yk1 in zip(e, g, h, nums, nums[1:] + (0,))]
+        return _poly(out, self.den * y.den)
+
+
+def _spec_bands(spec: FamilySpec, key: str, build) -> _Bands:
+    """The residual tables ``build(spec)``, built on first use and kept on the spec."""
+    bands = spec.__dict__.get(key)
+    if bands is None:
+        bands = build(spec)
+        _set(spec, key, bands)
+    return bands
+
+
 def pencil_residual(spec: FamilySpec, n: int) -> Poly:
     """L(D y_n) - lambda_n (D y_n) for the family's classical operator L: zero
     exactly when the lowered member is a classical eigenfunction.
@@ -173,20 +211,18 @@ def pencil_residual(spec: FamilySpec, n: int) -> Poly:
     e_k = k on the Laguerre side, w = a and e_k = k(k+a+b-1) on the Jacobi
     side, and D x^k = lam(k) x^k.  So the residual is one two-band int pass
     over the member, over the scale of the weight parameters:
-    sum_k [(k+1)(k+w) lam(k+1) y_(k+1) + (e_n - e_k) lam(k) y_k] x^k.
+    sum_k [(k+1)(k+w) lam(k+1) y_(k+1) + (e_n - e_k) lam(k) y_k] x^k,
+    against the per-spec tables e_k, lam(k) and (k+1)(k+w) lam(k+1).
     """
+    return _spec_bands(spec, "_pencil_bands", _pencil_bands).residual(make_member(spec, n), n)
+
+
+def _pencil_bands(spec: FamilySpec) -> _Bands:
     head, orders = _weight_and_orders(spec)
     lam = _lowering_band(orders)
     w, *b, den = _scaled(*head)  # (q) or (a, b), times den
-    if not b:
-        e = lambda k: k * den
-    else:
-        s = w + b[0] - den  # a + b - 1
-        e = lambda k: k * (k * den + s)
-    e_n = e(n)
-    bands = ((-1, lambda m: m * ((m - 1) * den + w) * lam(m)),
-             (0, lambda m: (e_n - e(m)) * lam(m)))
-    return _band_pass(make_member(spec, n), bands, den)
+    A, B = (den, w + b[0] - den) if b else (0, den)  # e_k times den
+    return _Bands(A, B, den, lam, lambda k: (k + 1) * (k * den + w) * lam(k + 1))
 
 
 def ode3_residual(spec: FamilySpec, n: int) -> Poly:
@@ -200,11 +236,30 @@ def ode3_residual(spec: FamilySpec, n: int) -> Poly:
     int pass:  sum_k [(k+1) prod_l (k+l) y_(k+1) - prod_u (k+u) y_k] x^k.
     For scriptL (d = 1) it is x^2 y''' + (q+r+1-x) x y'' + (qr - 2x) y' + n (x y' + y).
     The classical kinds, scaled zero-slot members, are refused.
+
+    Over the product du dl of the parameters' denominators, the band of
+    y_(k+1) is (k+1) du prod_l (k+l), free of n.  In the band of y_k only
+    (k-n)(k+n-1+a+b) depends on n: with a+b-1 = B/A in lowest terms,
+    n-1+a+b has the denominator A for every n, so du = A, and
+    -(k-n)(k+n-1+a+b) = (e_n - e_k)/A with e_k = k (A k + B).  The Laguerre side has no
+    such parameter: du = 1 and e_k = k.  Either way the band of y_k is
+    (e_n - e_k) dl (k+1)^d.
     """
-    if spec.kind not in _LAYOUTS:
+    return _spec_bands(spec, "_ode3_bands", _ode3_bands).residual(make_member(spec, n), n)
+
+
+def _ode3_bands(spec: FamilySpec) -> _Bands:
+    layout = _LAYOUTS.get(spec.kind)
+    if layout is None:
         raise ValueError(f"no third-order equation for family kind {spec.kind!r}")
-    upper, lower = ([(v.numerator, v.denominator) for v in vs] for vs in _series_params(spec, n))
-    du, dl = prod(d for _, d in upper), prod(d for _, d in lower)
-    bands = ((-1, lambda m: m * du * prod(p + (m - 1) * d for p, d in lower)),
-             (0, lambda m: -dl * prod(p + m * d for p, d in upper)))
-    return _band_pass(make_member(spec, n), bands, du * dl)
+    head = len(layout.weights)
+    slots = len(spec.params) - head
+    lower = [(v.numerator, v.denominator) for v in (spec.params[0], *spec.params[head:])]
+    dl = prod(d for _, d in lower)
+    if head == 1:
+        A, B, du = 0, 1, 1
+    else:
+        s = spec.params[0] + spec.params[1] - 1
+        A, B, du = s.denominator, s.numerator, s.denominator
+    return _Bands(A, B, du * dl, lambda k: dl * (k + 1) ** slots,
+                  lambda k: (k + 1) * du * prod(p + k * d for p, d in lower))

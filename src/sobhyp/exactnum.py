@@ -156,12 +156,15 @@ def _convolve(a, b) -> list[int]:
 
 def _poly(nums: list[int], den: int) -> "Poly":
     """The Poly with coefficients nums[k] / den (den > 0), in canonical form."""
-    while nums and not nums[-1]:
-        nums.pop()
-    g = gcd(den, *nums)
-    if g != 1:
-        nums = [n // g for n in nums]
-        den //= g
+    if not any(nums):  # zero, as every exact identity's residual is: no pops, no gcd
+        nums, den = (), 1
+    else:
+        while not nums[-1]:
+            nums.pop()
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
     p = object.__new__(Poly)
     _set(p, "nums", tuple(nums))
     _set(p, "den", den)

@@ -897,9 +897,10 @@ def test_cli_golden_bytes(capsys, name, fmt):
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == GOLDEN[(name, fmt)]
 
 
-# SHA-256 of the JSON stdout of three residual sweeps at nmax 60, recorded
-# while the residuals were still sums of Poly products and derivatives; the
-# integer band passes must print the same bytes.
+# SHA-256 of the JSON stdout of residual sweeps at nmax 60.  The first three
+# were recorded while the residuals were still sums of Poly products and
+# derivatives, the last three while they were per-n band lambdas; the fused
+# passes over per-spec band tables must print the same bytes.
 RESIDUAL_SWEEPS = {
     "verify pencil --family boldP --a 1/2 --b 2 --cs 3,2,4 --nmax 60":
         "6f65802b09839b219d3afe514898812f9e80608aa71140962a2bd21bd06c1ead",
@@ -907,6 +908,13 @@ RESIDUAL_SWEEPS = {
         "3d65303d21946797602be71a742f992fe4a6283762d527b1c921297c5582630a",
     "verify recurrence --family scriptP --a 1/2 --b 1 --c 2 --nmax 60":
         "455dff14582c5e97add95802227b88fd7874e545803e94df165cc250e5c9b916",
+    "verify ode3 --family boldL --q 1/2 --rs 2,3,4 --nmax 60":
+        "924ebd3f11d8576e07d45b28e7380ce4ca9933530cb561602bf0abde7b4952f9",
+    "verify pencil --family scriptL --q 7/3 --r 2 --nmax 60":
+        "5ae98d4fe02f2c7e8e91e4bb6841bb1c009e8b423d27e3b5236a85daf327f536",
+    # a + b = 1: n - 1 + a + b passes through 0 at n = 0
+    "verify ode3 --family boldP --a 1/2 --b 1/2 --cs 2 --nmax 60":
+        "2690d40a3228fc3b3ec0554dea3a581e8be48aea2609fa970e2a75c7bb620968",
 }
 
 

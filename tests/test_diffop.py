@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import math
 import pickle
 from fractions import Fraction as F
 
@@ -23,6 +24,7 @@ from sobhyp.diffop import (
 )
 from sobhyp.exactnum import Poly, pochhammer
 from sobhyp.families import (
+    FamilySpec,
     bold_l,
     bold_p,
     jacobi,
@@ -348,3 +350,95 @@ def test_recurrence_pass_matches_products_on_perturbed_members(perturbed_members
         got = residual(*spec.params, n)
         assert _same(got, _recurrence_by_products(spec, n, _perturbed)), n
         assert not got.is_zero, n
+
+
+# --- per-spec band tables -----------------------------------------------------
+#
+# Each residual reads its n-free band values from tables kept on the spec and
+# grown on demand.  The reference below evaluates the bands afresh for every
+# m, as rationals, from the residuals' own formulas.
+
+
+def _band_formulas_pass(bands, y):
+    """sum_s sigma_s(m) y_m x^(m+s) over the bands (s, sigma_s), one m at a time."""
+    out = [F(0)] * len(y.coeffs)
+    for s, sigma in bands:
+        for m in range(max(0, -s), len(y.coeffs)):
+            out[m + s] += sigma(m) * y.coeffs[m]
+    return Poly(out)
+
+
+def _split(spec):
+    weights = 1 if spec.kind in ("scriptL", "boldL") else 2
+    return spec.params[:weights], spec.params[weights:]
+
+
+def _pencil_by_band_formulas(spec, n, y):
+    (w, *b), orders = _split(spec)
+    lam = lambda m: math.prod(pochhammer(m + 1, int(r) - 1) for r in orders)
+    e = (lambda k: k) if not b else (lambda k: k * (k + w + b[0] - 1))
+    return _band_formulas_pass(((-1, lambda m: m * (m - 1 + w) * lam(m)),
+                                (0, lambda m: (e(n) - e(m)) * lam(m))), y)
+
+
+def _ode3_by_band_formulas(spec, n, y):
+    (w, *b), slots = _split(spec)
+    upper = [-n, *[n - 1 + w + v for v in b], *[1] * len(slots)]
+    lower = [w, *slots]
+    return _band_formulas_pass(((-1, lambda m: m * math.prod(l + m - 1 for l in lower)),
+                                (0, lambda m: -math.prod(u + m for u in upper))), y)
+
+
+positive = st.fractions(min_value=0, max_value=6, max_denominator=12).filter(lambda v: v > 0)
+
+
+@st.composite
+def series_specs(draw):
+    """(kind, params) of a series kind, 0-3 slots on the bold kinds, a + b often 1 or 2."""
+    kind = draw(st.sampled_from(["scriptL", "scriptP", "boldL", "boldP"]))
+    if kind.endswith("L"):
+        weights = [draw(positive)]
+    else:
+        total = draw(st.sampled_from([None, 1, 2]))
+        if total is None:
+            weights = [draw(positive), draw(positive)]
+        else:
+            a = draw(st.fractions(min_value=0, max_value=total, max_denominator=12)
+                     .filter(lambda v: 0 < v < total))
+            weights = [a, total - a]
+    count = 1 if kind.startswith("script") else draw(st.integers(0, 3))
+    slot = st.integers(1, 5) if draw(st.booleans()) else positive
+    return kind, (*weights, *draw(st.lists(slot, min_size=count, max_size=count)))
+
+
+def _lifted(spec, n):
+    """The perturbed member plus a term of degree n + 1, one past y_n's degree."""
+    return _perturbed(spec, n) + Poly.monomial(n + 1, F(1, n + 3))
+
+
+@given(series_specs(), st.lists(st.integers(0, 14), min_size=1, max_size=6))
+@example(("boldP", (F(1, 2), F(1, 2), 2)), [14, 0, 7, 3])  # a + b = 1
+@example(("boldP", (F(1, 3), F(5, 3), 3, 1, 2)), [9, 9, 2])  # a + b = 2
+@example(("boldL", (F(7, 3),)), [12, 1])
+@example(("scriptL", (F(1, 2), F(5, 2))), [6, 2])  # fractional slot: no pencil
+def test_band_tables_match_the_band_formulas(kind_params, ns):
+    specs = [FamilySpec(*kind_params), FamilySpec(*kind_params)]  # equal, distinct tables
+    assert specs[0] == specs[1] and specs[0] is not specs[1]
+    integral = all(v.denominator == 1 for v in _split(specs[0])[1])
+
+    def check(member):
+        for i, n in enumerate(ns):
+            spec, y = specs[i % 2], member(specs[i % 2], n)
+            assert _same(ode3_residual(spec, n), _ode3_by_band_formulas(spec, n, y)), n
+            if integral:
+                assert _same(pencil_residual(spec, n), _pencil_by_band_formulas(spec, n, y)), n
+            else:
+                with pytest.raises(ValueError, match="must be a positive integer"):
+                    pencil_residual(spec, n)
+
+    check(make_member)
+    # The tables now exist; a member swapped in afterwards must still be the one
+    # used.  Its residuals are never zero, so the true member's would not pass.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sobhyp.diffop, "make_member", _lifted)
+        check(_lifted)

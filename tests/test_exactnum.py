@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from sobhyp.exactnum import Poly, _Record, _set, as_rational, pochhammer
+from sobhyp.exactnum import Poly, _poly, _Record, _set, as_rational, pochhammer
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
 polys = st.lists(rationals, max_size=8).map(Poly)
@@ -51,6 +51,25 @@ def test_zero_polynomial_degree_is_none():
     assert Poly([0, 0, 0]).degree is None
     assert Poly().is_zero
     assert not Poly()
+
+
+@given(st.integers(0, 40), st.integers(2, 10**30))
+def test_all_zero_numerators_give_the_canonical_zero(length, den):
+    zero = _poly([0] * length, den)
+    assert (zero.nums, zero.den) == ((), 1)
+    assert zero == Poly() and hash(zero) == hash(Poly()) and zero.is_zero
+
+
+@given(st.lists(st.integers(-10**20, 10**20), min_size=1, max_size=8).filter(any),
+       st.integers(0, 5), st.integers(1, 10**6))
+def test_nonzero_numerators_keep_their_canonical_form(nums, zeros, den):
+    # The reduction by Fractions: trailing zeros dropped, one lcm denominator.
+    coeffs = [F(v, den) for v in nums]
+    while not coeffs[-1]:
+        coeffs.pop()
+    lcd = math.lcm(*(c.denominator for c in coeffs))
+    p = _poly(nums + [0] * zeros, den)
+    assert (p.nums, p.den) == (tuple(int(c * lcd) for c in coeffs), lcd)
 
 
 def test_trailing_zeros_are_stripped():

@@ -29,7 +29,7 @@ from .exactnum import Poly, _Record, _scaled, as_rational
 from .families import (
     _LAYOUTS, SCRIPT_L, SCRIPT_P, FamilySpec, bold_l, bold_p, make_member, script_l, script_p
 )
-from .sobolev import ConvergenceError, _exact_rule_sum, gauss_rule, jacobi_weight
+from .sobolev import _EPS, ConvergenceError, _exact_rule_sum, gauss_rule, jacobi_weight
 
 __all__ = [
     "RootSet",
@@ -46,7 +46,6 @@ _ABERTH_MAX_ITER = 200
 # (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, 5.1); the
 # float stage freezes a root once its residual is within this bound, plus
 # eps |z| |p'(z)|, what rounding z itself to a float can leave.
-_EPS = sys.float_info.epsilon
 _ROUNDING = 4 * _EPS
 _HALF_PRECISION = 2.0 ** -26
 

@@ -5,24 +5,25 @@ of its coefficient polynomials, index = derivative order.  It acts on
 monomials as bands: c x^j d^k sends x^m to c perm(m, k) x^(m+j-k), so band
 s = j - k carries an integer polynomial sigma_s(m) over one denominator.
 Applying an operator is one int pass out[m + s] += sigma_s(m) y_m over the
-numerators of y, built as one Poly at the end; composing two convolves their
-bands.  The lowering operators D_r y = (x^(r-1) y)^((r-1)) and their products
-(``composed_lowering``) have one band; the classical operators
-(``laguerre_operator`` / ``jacobi_operator``), the pencil residual with the
-lowering folded in, and the series' own equation, its term ratio in
-theta = x d/dx, have two.  Those two residuals share one shape, whose
-n-free band values each spec keeps as int tables (``_Bands``); each per-n
-residual is one fused int pass over the member's numerators against them.
+numerators of y, built as one Poly at the end; composing two is Leibniz's
+rule on their coefficients.  The lowering operators D_r y = (x^(r-1) y)^((r-1))
+and their products (``composed_lowering``) have one band; the classical
+operators (``laguerre_operator`` / ``jacobi_operator``), the pencil residual
+with the lowering folded in, and the series' own equation, its term ratio in
+theta = x d/dx, have two.  Those two residuals share one shape, whose n-free
+band values are int tables cached per equal spec (``_Bands``), each an
+immutable snapshot; each per-n residual is one fused int pass over the
+member's numerators against them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, perm, prod
+from math import comb, factorial, lcm, perm, prod
 from typing import Callable, Sequence
 
-from .exactnum import Poly, _poly, _Record, _scaled, _set, as_rational, pochhammer
+from .exactnum import Poly, _poly, _Record, _scaled, as_rational, pochhammer
 from .families import _LAYOUTS, FamilySpec, make_member
 
 __all__ = [
@@ -83,26 +84,15 @@ def identity_op() -> DiffOp:
     return DiffOp((Poly([1]),))
 
 
-def _from_bands(bands, den: int, order: int) -> DiffOp:
-    """The operator of bands sigma_s / den, each of degree <= ``order`` in m: its
-    x^(k+s) d^k coefficient is the forward difference (Delta^k sigma_s)(0) / k!."""
-    terms: list[list[Poly]] = [[] for _ in range(order + 1)]
-    for s, sigma in bands:
-        diffs = [sigma(m) for m in range(order + 1)]
-        for k in range(order + 1):
-            if diffs[0]:
-                terms[k].append(Poly.monomial(k + s, Fraction(diffs[0], factorial(k) * den)))
-            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    return DiffOp(tuple(sum(t, Poly()) for t in terms))
-
-
 def compose(outer: DiffOp, inner: DiffOp) -> DiffOp:
-    """The operator acting as ``outer(inner(y))``: its band s is the convolution
-    sum_t outer_(s-t)(m+t) inner_t(m), where inner_t(m) = 0 if m + t < 0."""
-    (outer_bands, outer_den), (inner_bands, inner_den) = outer._bands, inner._bands
-    bands = [(u + t, lambda m, f=sigma, t=t, g=tau: f(m + t) * g(m) if m + t >= 0 else 0)
-             for t, tau in inner_bands for u, sigma in outer_bands]
-    return _from_bands(bands, outer_den * inner_den, (outer.order or 0) + (inner.order or 0))
+    """The operator acting as ``outer(inner(y))``, by Leibniz's rule:
+    a d^k o b d^j = sum_i C(k, i) a b^(i) d^(j+k-i)."""
+    out = [Poly()] * ((outer.order or 0) + (inner.order or 0) + 1)
+    for k, a in enumerate(outer.coeffs):
+        for j, b in enumerate(inner.coeffs):
+            for i in range(min(k, len(b.nums) - 1) + 1):
+                out[j + k - i] += comb(k, i) * a * b.derivative(i)
+    return DiffOp(tuple(out))
 
 
 def _lowering_orders(values) -> tuple[int, ...]:
@@ -144,7 +134,13 @@ def composed_lowering(rs: Sequence[int]) -> DiffOp:
 
 @lru_cache(maxsize=None)
 def _composed_lowering(orders: tuple[int, ...]) -> DiffOp:
-    return _from_bands([(0, _lowering_band(orders))], 1, sum(orders) - len(orders))
+    # The x^k d^k coefficient is the forward difference (Delta^k lam)(0) / k!.
+    lam, order = _lowering_band(orders), sum(orders) - len(orders)
+    diffs, coeffs = [lam(m) for m in range(order + 1)], []
+    for k in range(order + 1):
+        coeffs.append(Poly.monomial(k, Fraction(diffs[0], factorial(k))))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return DiffOp(tuple(coeffs))
 
 
 @lru_cache(maxsize=None)
@@ -168,39 +164,33 @@ def jacobi_operator(a, b) -> tuple[DiffOp, Callable[[int], Fraction]]:
 
 
 class _Bands:
-    """The n-free values of one spec's two-band residual, as int lists grown
-    on demand: the x^k coefficient of the degree-n residual of a member y
-    is (e_n - e_k) g(k) y_k + h(k) y_(k+1) over ``den``, with
-    e_k = k (A k + B), so e_k, g(k) and h(k) do not depend on n.
+    """The n-free values of one spec's two-band residual: the x^k coefficient
+    of the degree-n residual of a member y is (e_n - e_k) g(k) y_k + h(k) y_(k+1)
+    over ``den``, with e_k = k (A k + B), so e_k, g(k) and h(k) do not depend
+    on n.  ``tables`` holds them as int tuples (e, g, h).  A longer member
+    extends a copy, at least doubling it, and rebinds it once: a reader never
+    sees a half-built table, and a sweep up to degree n copies O(log n) times.
     """
 
-    __slots__ = ("A", "B", "den", "_g_of", "_h_of", "e", "g", "h")
+    __slots__ = ("A", "B", "den", "_g_of", "_h_of", "tables")
 
     def __init__(self, A: int, B: int, den: int, g_of, h_of):
         self.A, self.B, self.den, self._g_of, self._h_of = A, B, den, g_of, h_of
-        self.e: list[int] = []
-        self.g: list[int] = []
-        self.h: list[int] = []
+        self.tables = ((), (), ())
 
     def residual(self, y: Poly, n: int) -> Poly:
-        nums, e, g, h, A, B = y.nums, self.e, self.g, self.h, self.A, self.B
-        for k in range(len(e), len(nums)):
-            e.append(k * (A * k + B))
-            g.append(self._g_of(k))
-            h.append(self._h_of(k))
+        nums, A, B = y.nums, self.A, self.B
+        e, g, h = self.tables
+        if len(e) < len(nums):
+            ks = range(len(e), max(len(nums), 2 * len(e)))
+            e += tuple(k * (A * k + B) for k in ks)
+            g += tuple(map(self._g_of, ks))
+            h += tuple(map(self._h_of, ks))
+            self.tables = e, g, h
         e_n = n * (A * n + B)
         out = [(e_n - ek) * gk * yk + hk * yk1
                for ek, gk, hk, yk, yk1 in zip(e, g, h, nums, nums[1:] + (0,))]
         return _poly(out, self.den * y.den)
-
-
-def _spec_bands(spec: FamilySpec, key: str, build) -> _Bands:
-    """The residual tables ``build(spec)``, built on first use and kept on the spec."""
-    bands = spec.__dict__.get(key)
-    if bands is None:
-        bands = build(spec)
-        _set(spec, key, bands)
-    return bands
 
 
 def pencil_residual(spec: FamilySpec, n: int) -> Poly:
@@ -214,9 +204,10 @@ def pencil_residual(spec: FamilySpec, n: int) -> Poly:
     sum_k [(k+1)(k+w) lam(k+1) y_(k+1) + (e_n - e_k) lam(k) y_k] x^k,
     against the per-spec tables e_k, lam(k) and (k+1)(k+w) lam(k+1).
     """
-    return _spec_bands(spec, "_pencil_bands", _pencil_bands).residual(make_member(spec, n), n)
+    return _pencil_bands(spec).residual(make_member(spec, n), n)
 
 
+@lru_cache(maxsize=None)
 def _pencil_bands(spec: FamilySpec) -> _Bands:
     head, orders = _weight_and_orders(spec)
     lam = _lowering_band(orders)
@@ -245,9 +236,10 @@ def ode3_residual(spec: FamilySpec, n: int) -> Poly:
     such parameter: du = 1 and e_k = k.  Either way the band of y_k is
     (e_n - e_k) dl (k+1)^d.
     """
-    return _spec_bands(spec, "_ode3_bands", _ode3_bands).residual(make_member(spec, n), n)
+    return _ode3_bands(spec).residual(make_member(spec, n), n)
 
 
+@lru_cache(maxsize=None)
 def _ode3_bands(spec: FamilySpec) -> _Bands:
     layout = _LAYOUTS.get(spec.kind)
     if layout is None:

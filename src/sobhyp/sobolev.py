@@ -40,6 +40,7 @@ Wilkinson shifts.  A weight that does not fit float64 has no rule.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import repeat
@@ -115,7 +116,7 @@ def moment(weight: WeightSpec, k: int) -> Fraction:
     """k-th raw moment of the normalized weight: coefficient k of ``_moments``."""
     if k < 0:
         raise ValueError("moment order must be nonnegative")
-    return _moments(weight, k).coeffs[k]
+    return _moments(weight, k).coefficient(k)
 
 
 class SobolevForm(_Record):
@@ -258,7 +259,7 @@ def verify_orthogonality(spec: FamilySpec, nmax: int) -> OrthogonalityReport:
 # --- Gauss rules -----------------------------------------------------------
 
 _QL_MAX_SWEEPS = 50
-_EPS = 2.220446049250313e-16
+_EPS = sys.float_info.epsilon
 
 
 class QuadRule(_Record):

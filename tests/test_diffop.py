@@ -4,6 +4,8 @@ import copy
 import itertools
 import math
 import pickle
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -241,14 +243,66 @@ def _same(got, want):
 
 
 coefficient_polys = st.lists(rationals, max_size=4).map(Poly)  # the empty list is zero
+operators = st.lists(coefficient_polys, max_size=6).map(lambda cs: DiffOp(tuple(cs)))
+ORDER_ABOVE_DEGREE = DiffOp((Poly(), Poly(), Poly(), Poly([1, F(2, 3)])))
 
 
-@given(st.lists(coefficient_polys, max_size=6).map(lambda cs: DiffOp(tuple(cs))), polys)
-@example(DiffOp((Poly(), Poly(), Poly(), Poly([1, F(2, 3)]))), Poly([3, 1]))  # order > degree
+@given(operators, polys)
+@example(ORDER_ABOVE_DEGREE, Poly([3, 1]))
 @example(DiffOp((Poly([F(1, 2)]), Poly(), Poly([0, -1]))), Poly())  # zero y
 @example(DiffOp(()), Poly([1, 2]))  # the zero operator
 def test_apply_matches_products_and_derivatives(op, y):
     assert _same(op(y), _apply_by_products(op, y))
+
+
+# --- band reference for compose ----------------------------------------------
+#
+# ``compose`` applies Leibniz's rule to the coefficients.  The reference below
+# convolves the two operators' bands instead and reads the coefficients back
+# by forward differences; the two must agree field for field.
+
+
+def _from_bands(bands, den, order):
+    """The operator of bands sigma_s / den, each of degree <= ``order`` in m: its
+    x^(k+s) d^k coefficient is the forward difference (Delta^k sigma_s)(0) / k!."""
+    terms = [[] for _ in range(order + 1)]
+    for s, sigma in bands:
+        diffs = [sigma(m) for m in range(order + 1)]
+        for k in range(order + 1):
+            if diffs[0]:
+                terms[k].append(Poly.monomial(k + s, F(diffs[0], math.factorial(k) * den)))
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return DiffOp(tuple(sum(t, Poly()) for t in terms))
+
+
+def _compose_by_bands(outer, inner):
+    """Band s of outer(inner(y)) is sum_t outer_(s-t)(m+t) inner_t(m), with
+    inner_t(m) = 0 where m + t < 0."""
+    (outer_bands, outer_den), (inner_bands, inner_den) = outer._bands, inner._bands
+    bands = [(u + t, lambda m, f=sigma, t=t, g=tau: f(m + t) * g(m) if m + t >= 0 else 0)
+             for t, tau in inner_bands for u, sigma in outer_bands]
+    return _from_bands(bands, outer_den * inner_den, (outer.order or 0) + (inner.order or 0))
+
+
+def _same_op(got, want):
+    return [(c.nums, c.den) for c in got.coeffs] == [(c.nums, c.den) for c in want.coeffs]
+
+
+@given(operators, operators)
+@example(DiffOp(()), ORDER_ABOVE_DEGREE)  # the zero operator
+@example(ORDER_ABOVE_DEGREE, DiffOp(()))
+@example(ORDER_ABOVE_DEGREE, DiffOp((Poly([0, F(1, 2), 3]), Poly([1]))))  # d^3 after degree 2
+@example(DiffOp((Poly([0, 0, 1]),)), ORDER_ABOVE_DEGREE)
+def test_compose_matches_the_band_convolution(outer, inner):
+    assert _same_op(compose(outer, inner), _compose_by_bands(outer, inner))
+
+
+def test_composed_lowering_matches_the_forward_differences_of_its_band():
+    tuples = [rs for length in range(4) for rs in itertools.product(range(1, 6), repeat=length)]
+    for rs in tuples + [(2, 2, 2, 2)]:
+        lam = lambda m: math.prod(pochhammer(m + 1, r - 1) for r in rs)
+        want = _from_bands([(0, lam)], 1, sum(rs) - len(rs))
+        assert _same_op(composed_lowering(rs), want), rs
 
 
 def _pencil_by_products(spec, n, y):
@@ -354,8 +408,8 @@ def test_recurrence_pass_matches_products_on_perturbed_members(perturbed_members
 
 # --- per-spec band tables -----------------------------------------------------
 #
-# Each residual reads its n-free band values from tables kept on the spec and
-# grown on demand.  The reference below evaluates the bands afresh for every
+# Each residual reads its n-free band values from tables cached per equal spec
+# and extended as immutable snapshots.  The reference below evaluates the bands afresh for every
 # m, as rationals, from the residuals' own formulas.
 
 
@@ -422,7 +476,7 @@ def _lifted(spec, n):
 @example(("boldL", (F(7, 3),)), [12, 1])
 @example(("scriptL", (F(1, 2), F(5, 2))), [6, 2])  # fractional slot: no pencil
 def test_band_tables_match_the_band_formulas(kind_params, ns):
-    specs = [FamilySpec(*kind_params), FamilySpec(*kind_params)]  # equal, distinct tables
+    specs = [FamilySpec(*kind_params), FamilySpec(*kind_params)]  # equal, one shared table
     assert specs[0] == specs[1] and specs[0] is not specs[1]
     integral = all(v.denominator == 1 for v in _split(specs[0])[1])
 
@@ -442,3 +496,60 @@ def test_band_tables_match_the_band_formulas(kind_params, ns):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sobhyp.diffop, "make_member", _lifted)
         check(_lifted)
+
+
+def test_equal_specs_share_one_table():
+    first, second = bold_p(F(1, 2), F(7, 3), [2, 3]), bold_p(F(1, 2), F(7, 3), [2, 3])
+    assert first == second and first is not second
+    assert sobhyp.diffop._pencil_bands(first) is sobhyp.diffop._pencil_bands(second)
+    assert sobhyp.diffop._ode3_bands(first) is sobhyp.diffop._ode3_bands(second)
+
+
+def test_a_fractional_slot_raises_on_every_call():
+    spec = script_l(1, F(3, 2))
+    for _ in range(3):  # a cached table builder keeps no exception
+        with pytest.raises(ValueError, match="lowering-operator index must be a positive integer"):
+            pencil_residual(spec, 2)
+
+
+def test_spec_checks_come_before_the_member_index():
+    with pytest.raises(ValueError, match="lowering-operator index must be a positive integer"):
+        pencil_residual(script_l(1, F(3, 2)), -1)
+    with pytest.raises(ValueError, match="no third-order equation"):
+        ode3_residual(laguerre(F(1, 2)), -1)
+
+
+def test_threads_sharing_one_spec_read_whole_tables():
+    """Four threads start at once on one fresh spec per trial, each taking every
+    fourth n from the top down, so that they build and extend the same tables
+    together while the interpreter switches threads as often as it can."""
+    ns, trials, got = range(40, 0, -1), [], {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(50):
+            spec = bold_p(F(1, 2), F(2 * trial + 5, 3), [2, 3])
+            barrier = threading.Barrier(4, timeout=10)
+            for n in ns:  # the members first, so that the threads meet at the tables
+                make_member(spec, n)
+
+            def run(part):
+                barrier.wait()
+                for n in part:
+                    got[spec, n] = pencil_residual(spec, n), ode3_residual(spec, n)
+
+            threads = [threading.Thread(target=run, args=(ns[i::4],)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            trials.append(spec)
+    finally:
+        sys.setswitchinterval(interval)
+    residuals = [(spec, n, i, r) for spec in trials for n in ns for i, r in enumerate(got[spec, n])]
+    wrong = sum(not r.is_zero for *_, r in residuals)
+    assert wrong == 0, f"{wrong} of {len(residuals)} residuals of true members are nonzero"
+    for spec, n, i, r in residuals:
+        alone = (pencil_residual, ode3_residual)[i](spec, n)
+        assert _same(r, alone), (spec, n, i)

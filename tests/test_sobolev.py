@@ -65,6 +65,14 @@ def test_moments_closed_forms():
             moment(weight, -1)
 
 
+def test_moment_is_coefficient_k_of_the_moment_series():
+    for weight in (laguerre_weight(F(7, 3)), jacobi_weight(F(1, 2), F(3, 2)),
+                   jacobi_weight(F(1, 3), F(5, 7))):
+        for k in range(41):
+            got = moment(weight, k)
+            assert isinstance(got, F) and got == sobhyp.sobolev._moments(weight, k).coeffs[k]
+
+
 def test_moment_uniform_case():
     # jacobi(1, 1) is the uniform density on (0, 1): moments 1/(k+1).
     w = jacobi_weight(1, 1)

@@ -16,11 +16,17 @@ come from one multiplicative update per step and stay exact.  The families:
   boldL(alpha+1), jacobi_shifted(alpha, beta) is (alpha+1)_n/n! times
   boldP(alpha+1, beta+1), and jacobi is jacobi_shifted at (1 - t)/2.
 
-Every member is built by the one exact series, which runs in Python ints:
-each rational parameter is split into its numerator and denominator, and
-the terms meet over one common denominator only at the end.  Float
-parameters take the same route at their binary values (a finite float is a
-dyadic rational), and only the resulting coefficients are rounded.
+Every member is built by the one exact series, which runs in Python ints
+from start to end.  The upper parameter -n enters as an integer: (-n)_k / k!
+is the signed binomial (-1)^k C(n, k), carried as a running product, so k!
+never reaches the common denominator.  Every other parameter is an int
+(numerator, denominator) pair, and the pairs that do not depend on n are
+held once per spec; n-1+a+b is (S + (n-1) L) / L over a+b = S/L, in lowest
+terms for every n.  The terms meet over one common denominator only at the
+end.  Float parameters take the same route at their binary values (a finite
+float is a dyadic rational), and only the resulting coefficients are
+rounded.  A ``FamilySpec`` compares and hashes by one int key, so a member
+cached under one spec is found through an equal one by one tuple compare.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import factorial, isfinite, prod
 from typing import Sequence
 
@@ -78,10 +85,36 @@ class PoleError(ValueError):
 
 
 class FamilySpec(_Record):
-    """A family kind together with its exact rational parameters."""
+    """A family kind together with its exact rational parameters.
+
+    Equality and hash read one int key, (kind, n0, d0, n1, d1, ...) over the
+    parameters' numerators and denominators, built on first use.  The
+    parameters are canonical Fractions, so two specs have equal keys exactly
+    when they have equal parameters, and a cache lookup through an equal,
+    distinct spec is one C-level tuple compare.
+    """
 
     kind: str
     params: tuple[Fraction, ...]
+
+    _key = None
+
+    def _int_key(self) -> tuple:
+        key = self._key
+        if key is None:
+            key = (self.kind, *chain.from_iterable(_pairs(self.params)))
+            object.__setattr__(self, "_key", key)
+        return key
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self._key or self._int_key()) == (other._key or other._int_key())
+        return NotImplemented
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self._key or self._int_key()))
+        return self._hash
 
     def __post_init__(self):
         """Reject an unknown kind, a wrong parameter count or a parameter out of range."""
@@ -97,9 +130,10 @@ class FamilySpec(_Record):
             raise ValueError(f"{kind} takes exactly {low} parameters, got {len(params)}")
         if len(params) < low:
             raise ValueError(f"{kind} takes at least {low} parameters, got {len(params)}")
-        if bold and any(p <= -1 for p in params):
+        # p > -1 and p > 0, read on the numerators: a Fraction's denominator is positive.
+        if bold and any(p.numerator <= -p.denominator for p in params):
             raise ValueError(f"{kind} parameters must be greater than -1")
-        if not bold and any(p <= 0 for p in params):
+        if not bold and any(p.numerator <= 0 for p in params):
             raise ValueError(f"{kind} parameters must be strictly positive")
 
 
@@ -146,46 +180,69 @@ def terminating_series(upper: Sequence, lower: Sequence, n: int) -> Poly:
     """
     if n < 0:
         raise ValueError("series length must be nonnegative")
-    up = tuple(as_rational(u) for u in upper)
-    low = tuple(as_rational(v) for v in lower)
+    up = [as_rational(u) for u in upper]
+    low = [as_rational(v) for v in lower]
     if all(u != -n for u in up):
         raise ValueError(f"no upper parameter equals -{n}; the series would not terminate there")
     for v in low:
         if v.denominator == 1 and 1 - n <= v <= 0:
             raise PoleError(f"lower parameter {v} is a pole within {n} terms")
-    return _series_terms(up, low, n)
+    up.remove(-n)  # it enters the core as the integer first parameter
+    return _series_terms(-n, _pairs(up), _pairs(low), n)
 
 
-def _series_terms(up: Sequence, low: Sequence, n: int) -> Poly:
-    """Terms 0..n of ``terminating_series``' sum, which here need not end, as
-    one Poly; no lower parameter may be a pole among them.  The loop runs in
-    ints.  With u = p/d and l = p'/d' the term ratio
-    prod (u+k) / ((k+1) prod (l+k)) is N_k / M_k, where
-    N_k = prod (p + k d) prod d' and M_k = (k+1) prod (p' + k d') prod d.
-    Term k is then N_0...N_{k-1} M_k...M_{n-1} over M_0...M_{n-1}: a running
-    product of the N's times a suffix product of the M's, over one common
-    denominator.  A negative lower parameter can make that denominator
-    negative; every numerator then changes sign with it.
+def _pairs(values) -> tuple[tuple[int, int], ...]:
+    """Each Fraction as its (numerator, denominator) pair."""
+    return tuple((v.numerator, v.denominator) for v in values)
+
+
+def _series_terms(first: int, up: Sequence, low: Sequence, n: int) -> Poly:
+    """Terms 0..n of sum_k (first)_k prod (u)_k / prod (l)_k x^k / k!, which
+    need not end there, as one Poly; ``first`` is an int, the other
+    parameters are (numerator, denominator) int pairs, and no lower parameter
+    may be a pole among the terms.  B_k = (first)_k / k! is an integer (the
+    signed binomial (-1)^k C(n, k) at first = -n, 1 at first = 1), carried as
+    the exact running product B_{k+1} = B_k (first + k) / (k + 1), so k!
+    never enters the common denominator.  With u = p/d and l = p'/d' the rest
+    of the term ratio, prod (u+k) / prod (l+k), is N_k / M_k, where
+    N_k = prod (p + k d) prod d' and M_k = prod (p' + k d') prod d.  Term k
+    is then B_k N_0...N_{k-1} M_k...M_{n-1} over M_0...M_{n-1}: a running
+    product times a suffix product of the M's, over one common denominator.
+    A negative lower parameter can make that denominator negative; every
+    numerator then changes sign with it.
     """
-    up = [(u.numerator, u.denominator) for u in up]
-    low = [(v.numerator, v.denominator) for v in low]
     up_scale = prod(d for _, d in up)
     low_scale = prod(d for _, d in low)
     suffix = [1] * (n + 1)  # suffix[k] = M_k ... M_{n-1}
     for k in range(n - 1, -1, -1):
-        m = (k + 1) * up_scale
+        m = up_scale
         for p, d in low:
             m *= p + k * d
         suffix[k] = suffix[k + 1] * m
     sign = -1 if suffix[0] < 0 else 1  # _poly takes a positive denominator
-    head = sign
+    head = sign  # sign B_k N_0 ... N_{k-1}
     nums = [sign * suffix[0]]
     for k in range(n):
-        head *= low_scale
+        step = (first + k) * low_scale
         for p, d in up:
-            head *= p + k * d
+            step *= p + k * d
+        head = head * step // (k + 1)  # exact: B_k (first + k) is (k + 1) B_{k+1}
         nums.append(head * suffix[k + 1])
     return _poly(nums, sign * suffix[0])
+
+
+@lru_cache(maxsize=None)
+def _series_ints(spec: FamilySpec) -> tuple[tuple, tuple, tuple | None]:
+    """A hypergeometric kind's n-free series parameters as int pairs: the
+    upper slot ones, the lower ones and, on the Jacobi side, a + b in lowest
+    terms (None on the Laguerre side).  Cached once per equal spec."""
+    weights = len(_LAYOUTS[spec.kind].weights)
+    slots = len(spec.params) - weights
+    low = _pairs((spec.params[0], *spec.params[weights:]))
+    if weights == 1:
+        return ((1, 1),) * slots, low, None
+    s = spec.params[0] + spec.params[1]
+    return ((1, 1),) * slots, low, (s.numerator, s.denominator)
 
 
 @lru_cache(maxsize=None)
@@ -207,16 +264,15 @@ def _member(spec: FamilySpec, n: int) -> Poly:
     if bold is not None:
         zero_slot = _member(FamilySpec(bold, tuple(p + 1 for p in spec.params)), n)
         return zero_slot * Fraction(pochhammer(spec.params[0] + 1, n), factorial(n))
-    return terminating_series(*_series_params(spec, n), n)
-
-
-def _series_params(spec: FamilySpec, n: int) -> tuple[tuple, tuple]:
-    """The upper and lower parameters of a hypergeometric kind's degree-n series."""
-    if len(_LAYOUTS[spec.kind].weights) == 1:
-        q, *rs = spec.params
-        return (-n, *([1] * len(rs))), (q, *rs)
-    a, b, *cs = spec.params
-    return (-n, n - 1 + a + b, *([1] * len(cs))), (a, *cs)
+    # The upper parameters are (-n, 1, ..., 1) or (-n, n-1+a+b, 1, ..., 1) and
+    # the lower ones (q, r1, ...) or (a, c1, ...).  No pole test is needed:
+    # FamilySpec makes a hypergeometric kind's parameters positive, and a
+    # classical kind's (> -1) arrive here plus one.
+    up, low, s = _series_ints(spec)
+    if s is not None:
+        S, L = s
+        up = ((S + (n - 1) * L, L), *up)  # n-1+a+b, in lowest terms as S/L is
+    return _series_terms(-n, up, low, n)
 
 
 def leading_coefficient(spec: FamilySpec, n: int) -> Fraction:

@@ -20,7 +20,10 @@ A companion scaled system psi_k relates to phi_k by index-shift factors and
 satisfies four short linear identities; ``psi_consistency`` evaluates their
 residuals exactly.  Every phi, the psi and the residuals run in ints over
 one scale L, the lcm of the parameter denominators, and each returned value
-is the one Fraction built.
+is the one Fraction built.  The five-term residual is one int pass over the
+four members' zero-padded numerators over their lcm: each row is scaled once,
+by its phi times the member's share of the lcm, and the two x rows read the
+same numerators shifted up by one.
 """
 
 from __future__ import annotations
@@ -157,15 +160,18 @@ def phi_L(q, r, n: int) -> PhiCoeffs:
 def _five_term_residual(member, n: int, phis, den: int = 1) -> Poly:
     """phi1 y_{n-2} + phi2 y_{n-1} + phi3 y_n + phi4 y_{n+1} + phi5 x y_{n-1} + phi6 x y_n,
     with ``phis`` ints over ``den`` and members of negative index read as zero, as one
-    int pass: six numerator rows over the members' lcm, the two x rows shifted up by one."""
+    int pass over the four members' zero-padded numerators over their lcm.  Each row
+    is scaled once, by its phi times lcm // den_j, and the two x rows read the same
+    tuples shifted up by one."""
     ys = [member(k) if k >= 0 else Poly() for k in range(n - 2, n + 2)]
-    rows = (*zip(phis, ys, (0, 0, 0, 0)), (phis[4], ys[1], 1), (phis[5], ys[2], 1))
     top = lcm(*(y.den for y in ys))
-    out = [0] * (1 + max(len(y.nums) for y in ys))
-    for f, y, s in rows:
-        scale = f * (top // y.den)
-        for k, v in enumerate(y.nums, s):
-            out[k] += scale * v
+    width = 1 + max(len(y.nums) for y in ys)
+    y0, y1, y2, y3 = (y.nums + (0,) * (width - len(y.nums)) for y in ys)
+    f0, f1, f2, f3 = (top // y.den for y in ys)
+    p1, p2, p3, p4, p5, p6 = phis
+    s1, s2, s3, s4, s5, s6 = p1 * f0, p2 * f1, p3 * f2, p4 * f3, p5 * f1, p6 * f2
+    out = [s1 * a + s2 * b + s3 * c + s4 * d + s5 * xb + s6 * xc
+           for a, b, c, d, xb, xc in zip(y0, y1, y2, y3, (0, *y1), (0, *y2))]
     return _poly(out, top * den)
 
 

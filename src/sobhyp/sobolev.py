@@ -49,7 +49,7 @@ from operator import add, mul
 
 from .diffop import DiffOp, _weight_and_orders, composed_lowering
 from .exactnum import Poly, _convolve, _Record, _scaled, as_rational
-from .families import FamilySpec, _series_terms, make_member
+from .families import FamilySpec, _pairs, _series_terms, make_member
 
 __all__ = [
     "ConvergenceError",
@@ -106,10 +106,11 @@ def jacobi_weight(a, b) -> WeightSpec:
 
 
 def _moments(weight: WeightSpec, K: int) -> Poly:
-    """mu_0..mu_K as one Poly: the series terms (q)_k (1)_k / k! = (q)_k, or
-    (a)_k (1)_k / ((a+b)_k k!) = (a)_k / (a+b)_k."""
+    """mu_0..mu_K as one Poly: the series terms (1)_k (q)_k / k! = (q)_k, or
+    (1)_k (a)_k / ((a+b)_k k!) = (a)_k / (a+b)_k, with the integer first
+    parameter 1."""
     lower = () if weight.kind == LAGUERRE_WEIGHT else (sum(weight.params),)
-    return _series_terms((weight.params[0], 1), lower, K)
+    return _series_terms(1, _pairs(weight.params[:1]), _pairs(lower), K)
 
 
 def moment(weight: WeightSpec, k: int) -> Fraction:

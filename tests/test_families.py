@@ -1,11 +1,17 @@
 """Family construction: terminating series, closed-form leads, float twin."""
 
+import copy
+import hashlib
+import pickle
+import sys
+import threading
 from fractions import Fraction as F
 from math import factorial
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import sobhyp.families as families
 from sobhyp.exactnum import Poly, pochhammer
 from sobhyp.families import (
     FamilySpec,
@@ -380,3 +386,158 @@ def test_leading_coefficient_closed_forms_spotcheck():
         pochhammer(q, n) * pochhammer(r, n)
     )
     assert leading_coefficient(script_l(3, 3), 2) == F(1, 72)
+
+
+_rational_param = st.fractions(min_value=F(1, 9), max_value=12, max_denominator=9)
+_param = st.one_of(st.integers(1, 12).map(F), _rational_param)
+
+
+@st.composite
+def hypergeometric_specs(draw):
+    """A spec of one of the four hypergeometric kinds: 0-3 integral or rational
+    slots on the bold side, and a + b in {1, 2} on some Jacobi-side draws."""
+    kind = draw(st.sampled_from(["scriptL", "scriptP", "boldL", "boldP"]))
+    slots = 1 if kind.startswith("script") else draw(st.integers(0, 3))
+    rest = draw(st.lists(_param, min_size=slots, max_size=slots))
+    if kind.endswith("L"):
+        return FamilySpec(kind, (draw(_param), *rest))
+    s = draw(st.sampled_from([None, 1, 2]))
+    if s is None:
+        a, b = draw(_param), draw(_param)
+    else:
+        a = draw(st.fractions(min_value=F(1, 9), max_value=s - F(1, 9), max_denominator=9))
+        b = s - a
+    return FamilySpec(kind, (a, b, *rest))
+
+
+def _reference_member(spec, n):
+    """The member as ``_fraction_series`` builds it from the kind's parameters."""
+    weights = 1 if spec.kind.endswith("L") else 2
+    slots = spec.params[weights:]
+    upper = [-n, *[n - 1 + sum(spec.params[:2])] * (weights - 1), *[1] * len(slots)]
+    return _fraction_series(upper, [spec.params[0], *slots], n)
+
+
+@given(hypergeometric_specs(), st.integers(0, 40))
+@example(script_p(F(1, 2), F(1, 2), 3), 0)  # n-1+a+b = 0 at n = 0
+@example(bold_p(F(2, 3), F(4, 3), []), 40)
+@example(bold_l(F(1, 9), [F(8, 9), 12, F(5, 7)]), 40)
+def test_member_matches_the_fraction_series(spec, n):
+    got, want = make_member(spec, n), _reference_member(spec, n)
+    assert (got.nums, got.den) == (want.nums, want.den)
+
+
+# Classical specs at and near the lower end of their domain, (-1, 0] among them.
+CLASSICAL = [laguerre(F(-1, 2)), laguerre(0), laguerre(F(-5, 7)), jacobi(F(-1, 2), 0),
+             jacobi(0, F(-2, 3)), jacobi_shifted(F(-1, 3), F(-1, 2)), jacobi_shifted(0, 0)]
+
+
+def test_classical_members_keep_their_digest():
+    # sha256 over repr((nums, den)) of n = 0..40 of each spec in CLASSICAL, in order,
+    # recorded before the series core carried the binomial in place of k!.
+    h = hashlib.sha256()
+    for spec in CLASSICAL:
+        for n in range(41):
+            member = make_member(spec, n)
+            h.update(repr((member.nums, member.den)).encode())
+    assert h.hexdigest() == "f07e3aafaa2f54d41d414571ba5aef9932000d0ce97b756bc5b169fb0b1d374b"
+
+
+@pytest.mark.parametrize("spec", CLASSICAL)
+def test_classical_members_match_the_fraction_series(spec):
+    alpha = spec.params[0]
+    for n in range(21):
+        upper = [-n] if spec.kind == "laguerre" else [-n, n + 1 + sum(spec.params)]
+        want = _fraction_series(upper, [alpha + 1], n) * (F(pochhammer(alpha + 1, n)) / factorial(n))
+        if spec.kind == "jacobi":
+            want = want(Poly([F(1, 2), F(-1, 2)]))
+        got = make_member(spec, n)
+        assert (got.nums, got.den) == (want.nums, want.den), (spec, n)
+
+
+@st.composite
+def classical_specs(draw):
+    kind = draw(st.sampled_from(["laguerre", "jacobi", "jacobi_shifted"]))
+    value = st.fractions(min_value=F(-8, 9), max_value=12, max_denominator=9)
+    return FamilySpec(kind, tuple(draw(value) for _ in range(1 if kind == "laguerre" else 2)))
+
+
+@given(st.one_of(hypergeometric_specs(), classical_specs()), st.integers(0, 12))
+def test_member_series_never_meets_a_pole(spec, n):
+    # Every lower parameter reaching the series core is positive, so _member
+    # needs no pole test: FamilySpec keeps a hypergeometric kind's parameters
+    # positive, and a classical kind's (> -1) arrive plus one.
+    lowers = []
+    core = families._series_terms
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(families, "_series_terms",
+                      lambda first, up, low, m: (lowers.append(low), core(first, up, low, m))[1])
+        families._member(spec, n)
+    assert lowers and all(p > 0 and d > 0 for low in lowers for p, d in low)
+
+
+def test_spec_equality_and_hash_read_the_values():
+    specs = [bold_p(2, "3/4", [F(5), "6/2"]), bold_p(F(2), F(3, 4), ["5", 3]),
+             FamilySpec("boldP", ("4/2", F(6, 8), 5, F(3)))]
+    assert all(spec == specs[0] and hash(spec) == hash(specs[0]) for spec in specs)
+    assert specs[0] != bold_p(2, "3/4", [5, 3, 1])  # another parameter count
+    assert bold_l(2, [3]) != script_l(2, 3)  # another kind, the same parameters
+    assert laguerre(2) != bold_l(2)
+    assert script_l(2, 3) != script_l(3, 2)
+    assert script_l(F(1, 2), 3) != script_l(1, 3)  # the same numerators
+    assert script_l(F(1, 2), 3) != script_l(F(1, 3), 3)  # the same denominators
+    assert (script_l(2, 3) == object()) is False
+    assert script_l(2, 3) != object()
+
+
+@pytest.mark.parametrize("spec", [script_l(F(1, 2), 3), bold_p(F(2, 3), 2, [F(7, 5), 3]),
+                                  jacobi(F(-1, 2), 0)])
+def test_spec_round_trips_stay_equal(spec):
+    hash(spec)  # built its key before the round trip
+    for twin in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+        assert twin == spec and hash(twin) == hash(spec)
+
+
+def test_cached_member_through_an_equal_spec_compares_no_fraction(monkeypatch):
+    spec = bold_p(F(2, 3), F(7, 5), [F(5, 2), 3])
+    first = make_member(spec, 9)
+    twin = bold_p("2/3", "7/5", ["5/2", "3"])  # equal parameters, distinct objects
+    calls = []
+    eq = F.__eq__
+    monkeypatch.setattr(F, "__eq__", lambda self, other: (calls.append(other), eq(self, other))[1])
+    hits = make_member.cache_info().hits
+    assert make_member(twin, 9) is first
+    assert make_member.cache_info().hits == hits + 1
+    assert calls == []
+
+
+def test_threads_sharing_one_fresh_spec_build_the_same_members():
+    """Four threads start at once on one fresh bold spec per trial and each build
+    members 0..30 uncached, so that each call reads the spec's cached series
+    parameters and lazy key while the interpreter switches threads as often as it can."""
+    ns, got = range(31), []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(20):
+            spec = bold_p(F(1, 2), F(2 * trial + 5, 3), [F(7, 3), 3])
+            barrier = threading.Barrier(4, timeout=10)
+            built = [[] for _ in range(4)]
+
+            def run(out):
+                barrier.wait()
+                out.extend(families._member(spec, n) for n in ns)
+
+            threads = [threading.Thread(target=run, args=(out,)) for out in built]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            got.append((trial, built))
+    finally:
+        sys.setswitchinterval(interval)
+    for trial, built in got:
+        alone = [families._member(bold_p(F(1, 2), F(2 * trial + 5, 3), [F(7, 3), 3]), n) for n in ns]
+        for out in built:
+            assert [(m.nums, m.den) for m in out] == [(m.nums, m.den) for m in alone], trial

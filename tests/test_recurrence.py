@@ -1,16 +1,20 @@
 """Five-polynomial recurrences, generation, and the psi identities."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
-from sobhyp.exactnum import Poly
-from sobhyp.families import FamilySpec, make_member, script_p
+from sobhyp.exactnum import Poly, _poly, _scaled
+from sobhyp.families import FamilySpec, make_member, script_l, script_p
 from sobhyp.recurrence import (
     DomainError,
+    _five_term_residual,
+    _phi_L_nums,
+    _phi_P_nums,
     generate_P_by_recurrence,
     phi_L,
     phi_P,
@@ -313,3 +317,52 @@ def test_phi_L_int_form_matches_the_fraction_forms_on_a_seeded_grid():
 )
 def test_phi_L_int_form_matches_the_fraction_forms_property(params, n):
     _assert_phi_L_matches_the_fraction_forms(*params, n)
+
+
+def _row_loop_residual(member, n, phis, den=1):
+    """The five-term residual as six numerator rows added one at a time over the
+    members' lcm, the two x rows shifted up by one: the reference for the fused pass."""
+    ys = [member(k) if k >= 0 else Poly() for k in range(n - 2, n + 2)]
+    rows = (*zip(phis, ys, (0, 0, 0, 0)), (phis[4], ys[1], 1), (phis[5], ys[2], 1))
+    top = math.lcm(*(y.den for y in ys))
+    out = [0] * (1 + max(len(y.nums) for y in ys))
+    for f, y, s in rows:
+        scale = f * (top // y.den)
+        for k, v in enumerate(y.nums, s):
+            out[k] += scale * v
+    return _poly(out, top * den)
+
+
+def _perturbations(spec, n):
+    """Member maps for index n: the true members, each member plus a degree-(n+2)
+    term, and each member with its constant or its leading coefficient zeroed."""
+    def true(k):
+        return make_member(spec, k)
+
+    def longer(k):
+        return make_member(spec, k) + Poly.monomial(n + 2, F(k + 1, 7))
+
+    def zeroed(j):
+        def member(k):
+            y = make_member(spec, k)
+            nums = list(y.nums)
+            nums[j if j >= 0 else k] = 0
+            return Poly([F(v, y.den) for v in nums])
+        return member
+
+    return true, longer, zeroed(0), zeroed(-1)
+
+
+@pytest.mark.parametrize("spec", [script_p(F(7, 3), F(5, 4), 3), script_p(F(1, 2), F(1, 2), 2),
+                                  script_l(F(7, 3), 3), script_l(F(1, 2), F(5, 3))])
+def test_fused_five_term_pass_matches_the_row_loop(spec):
+    scaled = _scaled(*spec.params)
+    phi_nums = _phi_P_nums if spec.kind == "scriptP" else _phi_L_nums
+    for n in range(13):  # below n = 2 the missing members read as zero
+        phis, den = phi_nums(*scaled, n)
+        got = [_five_term_residual(member, n, phis, den) for member in _perturbations(spec, n)]
+        want = [_row_loop_residual(member, n, phis, den) for member in _perturbations(spec, n)]
+        assert [(r.nums, r.den) for r in got] == [(r.nums, r.den) for r in want], (spec, n)
+        assert got[0].is_zero
+        # On the degenerate slice a + b = 1 every phi vanishes at n = 0.
+        assert got[1].is_zero == (not any(phis))

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sobhyp
 import sobhyp.sobolev
@@ -71,6 +71,37 @@ def test_moment_is_coefficient_k_of_the_moment_series():
         for k in range(41):
             got = moment(weight, k)
             assert isinstance(got, F) and got == sobhyp.sobolev._moments(weight, k).coeffs[k]
+
+
+def _fraction_moments(weight, K):
+    """mu_0..mu_K by the Fraction ratio mu_{k+1} = mu_k (q+k), or mu_k (a+k)/(a+b+k)."""
+    out = [F(1)]
+    for k in range(K):
+        if weight.kind == "laguerre":
+            out.append(out[-1] * (weight.params[0] + k))
+        else:
+            a, b = weight.params
+            out.append(out[-1] * (a + k) / (a + b + k))
+    return Poly(out)
+
+
+_moment_param = st.fractions(min_value=F(1, 9), max_value=12, max_denominator=9)
+
+
+@given(
+    st.one_of(
+        st.builds(laguerre_weight, _moment_param),
+        st.builds(jacobi_weight, _moment_param, _moment_param),
+        # a + b = 1
+        _moment_param.filter(lambda a: a < 1).map(lambda a: jacobi_weight(a, 1 - a)),
+    ),
+    st.integers(0, 60),
+)
+@example(jacobi_weight(F(1, 3), F(2, 3)), 60)
+@example(laguerre_weight(F(7, 3)), 60)
+def test_moment_series_matches_the_fraction_ratio(weight, K):
+    got, want = sobhyp.sobolev._moments(weight, K), _fraction_moments(weight, K)
+    assert (got.nums, got.den) == (want.nums, want.den)
 
 
 def test_moment_uniform_case():

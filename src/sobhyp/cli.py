@@ -31,13 +31,8 @@ from functools import lru_cache
 
 from .analysis import discriminant_L, discriminant_P, integral_rep_check, limit_check, roots
 from .diffop import ode3_residual, pencil_residual
-from .families import _LAYOUTS, SCRIPT_L, SCRIPT_P, FamilySpec, PoleError, make_member
-from .recurrence import (
-    DomainError,
-    psi_consistency,
-    recurrence_residual_L,
-    recurrence_residual_P,
-)
+from .families import _LAYOUTS, SCRIPT_L, SCRIPT_P, FamilySpec, make_member
+from .recurrence import psi_consistency, recurrence_residual_L, recurrence_residual_P
 from .sobolev import (
     ConvergenceError,
     WeightSpec,
@@ -587,7 +582,7 @@ def main(argv=None) -> int:
     args = _build_parser(leaf).parse_args(argv)
     try:
         params, results, passed = args.handler(args)
-    except (PoleError, DomainError, ValueError, ConvergenceError) as exc:
+    except (ValueError, ConvergenceError) as exc:  # PoleError and DomainError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ConvergenceError) else 2
     path = [getattr(args, dest) for dest, _ in _GROUPS.values() if hasattr(args, dest)]

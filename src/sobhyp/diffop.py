@@ -7,13 +7,13 @@ s = j - k carries an integer polynomial sigma_s(m) over one denominator.
 Applying an operator is one int pass out[m + s] += sigma_s(m) y_m over the
 numerators of y, built as one Poly at the end; composing two is Leibniz's
 rule on their coefficients.  The lowering operators D_r y = (x^(r-1) y)^((r-1))
-and their products (``composed_lowering``) have one band; the classical
-operators (``laguerre_operator`` / ``jacobi_operator``), the pencil residual
-with the lowering folded in, and the series' own equation, its term ratio in
-theta = x d/dx, have two.  Those two residuals share one shape, whose n-free
-band values are int tables cached per equal spec (``_Bands``), each an
-immutable snapshot; each per-n residual is one fused int pass over the
-member's numerators against them.
+and their products (``composed_lowering``) have one band, lam; the classical
+operators (``laguerre_operator`` / ``jacobi_operator``) have two.  The two
+identity residuals are two-band int passes over a member's numerators against
+n-free band tables cached per equal spec (``_Bands``), each an immutable
+snapshot.  The pencil L(D y) - lambda_n D y reads L's two bands and D's one;
+the series' own equation, its term ratio in theta = x d/dx, reads the series'
+parameters, and its e_k = k (A k + B) belongs to it alone.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from functools import lru_cache
 from math import comb, factorial, lcm, perm, prod
 from typing import Callable, Sequence
 
-from .exactnum import Poly, _poly, _Record, _scaled, as_rational, pochhammer
-from .families import _LAYOUTS, FamilySpec, make_member
+from .exactnum import Poly, _poly, _Record, as_rational, pochhammer
+from .families import _LAYOUTS, FamilySpec, _series_ints, make_member
 
 __all__ = [
     "DiffOp",
@@ -135,24 +135,18 @@ def composed_lowering(rs: Sequence[int]) -> DiffOp:
 @lru_cache(maxsize=None)
 def _composed_lowering(orders: tuple[int, ...]) -> DiffOp:
     # The x^k d^k coefficient is the forward difference (Delta^k lam)(0) / k!.
-    lam, order = _lowering_band(orders), sum(orders) - len(orders)
-    diffs, coeffs = [lam(m) for m in range(order + 1)], []
+    order = sum(orders) - len(orders)
+    diffs = [prod(pochhammer(m + 1, r - 1) for r in orders) for m in range(order + 1)]
+    coeffs = []
     for k in range(order + 1):
         coeffs.append(Poly.monomial(k, Fraction(diffs[0], factorial(k))))
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     return DiffOp(tuple(coeffs))
 
 
-@lru_cache(maxsize=None)
-def _lowering_band(orders: tuple[int, ...]) -> Callable[[int], int]:
-    """The band lam(k) = prod_r (k+1)_(r-1) of the lowering over ``orders``, cached in k."""
-    return lru_cache(None)(lambda m: prod(pochhammer(m + 1, r - 1) for r in orders))
-
-
 def laguerre_operator(q) -> tuple[DiffOp, Callable[[int], Fraction]]:
     """Classical Laguerre-side operator x y'' + (q - x) y' and its eigenvalues -n."""
-    q = as_rational(q)
-    op = DiffOp((Poly(), Poly([q, -1]), Poly.monomial(1)))
+    op = DiffOp((Poly(), Poly([q, -1]), Poly.monomial(1)))  # Poly takes q exactly
     return op, lambda n: Fraction(-n)
 
 
@@ -166,28 +160,28 @@ def jacobi_operator(a, b) -> tuple[DiffOp, Callable[[int], Fraction]]:
 class _Bands:
     """The n-free values of one spec's two-band residual: the x^k coefficient
     of the degree-n residual of a member y is (e_n - e_k) g(k) y_k + h(k) y_(k+1)
-    over ``den``, with e_k = k (A k + B), so e_k, g(k) and h(k) do not depend
-    on n.  ``tables`` holds them as int tuples (e, g, h).  A longer member
-    extends a copy, at least doubling it, and rebinds it once: a reader never
-    sees a half-built table, and a sweep up to degree n copies O(log n) times.
+    over ``den``, with e_n = e(n); the pencil takes e, g and h from L's two
+    bands and D's one, the theta form from the series' own parameters.
+    ``tables`` holds them as int tuples (e, g, h).  A longer member extends a
+    copy, at least doubling it, and rebinds it once: a reader never sees a
+    half-built table, and a sweep up to degree n copies O(log n) times.
     """
 
-    __slots__ = ("A", "B", "den", "_g_of", "_h_of", "tables")
+    __slots__ = ("den", "_e", "_g", "_h", "tables")
 
-    def __init__(self, A: int, B: int, den: int, g_of, h_of):
-        self.A, self.B, self.den, self._g_of, self._h_of = A, B, den, g_of, h_of
+    def __init__(self, den: int, e, g, h):
+        self.den, self._e, self._g, self._h = den, e, g, h
         self.tables = ((), (), ())
 
     def residual(self, y: Poly, n: int) -> Poly:
-        nums, A, B = y.nums, self.A, self.B
-        e, g, h = self.tables
+        nums, (e, g, h) = y.nums, self.tables
         if len(e) < len(nums):
             ks = range(len(e), max(len(nums), 2 * len(e)))
-            e += tuple(k * (A * k + B) for k in ks)
-            g += tuple(map(self._g_of, ks))
-            h += tuple(map(self._h_of, ks))
+            e += tuple(map(self._e, ks))
+            g += tuple(map(self._g, ks))
+            h += tuple(map(self._h, ks))
             self.tables = e, g, h
-        e_n = n * (A * n + B)
+        e_n = self._e(n)
         out = [(e_n - ek) * gk * yk + hk * yk1
                for ek, gk, hk, yk, yk1 in zip(e, g, h, nums, nums[1:] + (0,))]
         return _poly(out, self.den * y.den)
@@ -197,12 +191,12 @@ def pencil_residual(spec: FamilySpec, n: int) -> Poly:
     """L(D y_n) - lambda_n (D y_n) for the family's classical operator L: zero
     exactly when the lowered member is a classical eigenfunction.
 
-    L x^k = k(k-1+w) x^(k-1) - e_k x^k and lambda_n = -e_n, with w = q and
-    e_k = k on the Laguerre side, w = a and e_k = k(k+a+b-1) on the Jacobi
-    side, and D x^k = lam(k) x^k.  So the residual is one two-band int pass
-    over the member, over the scale of the weight parameters:
-    sum_k [(k+1)(k+w) lam(k+1) y_(k+1) + (e_n - e_k) lam(k) y_k] x^k,
-    against the per-spec tables e_k, lam(k) and (k+1)(k+w) lam(k+1).
+    It reads the operators it checks: L (``laguerre_operator`` /
+    ``jacobi_operator``) through its two bands, L x^k = (down(k) x^(k-1) +
+    diag(k) x^k) / den with lambda_n = diag(n) / den, and D, the shared
+    ``composed_lowering`` that the Sobolev form lowers by, through its one,
+    D x^k = lam(k) x^k.  With e_k = -diag(k) the residual is one two-band int
+    pass: sum_k [(e_n - e_k) lam(k) y_k + down(k+1) lam(k+1) y_(k+1)] x^k / den.
     """
     return _pencil_bands(spec).residual(make_member(spec, n), n)
 
@@ -210,10 +204,10 @@ def pencil_residual(spec: FamilySpec, n: int) -> Poly:
 @lru_cache(maxsize=None)
 def _pencil_bands(spec: FamilySpec) -> _Bands:
     head, orders = _weight_and_orders(spec)
-    lam = _lowering_band(orders)
-    w, *b, den = _scaled(*head)  # (q) or (a, b), times den
-    A, B = (den, w + b[0] - den) if b else (0, den)  # e_k times den
-    return _Bands(A, B, den, lam, lambda k: (k + 1) * (k * den + w) * lam(k + 1))
+    L = (laguerre_operator if len(head) == 1 else jacobi_operator)(*head)[0]
+    (l_bands, l_den), ([(_, lam)], d_den) = L._bands, _composed_lowering(orders)._bands
+    down, diag = dict(l_bands)[-1], dict(l_bands)[0]
+    return _Bands(l_den * d_den, lambda k: -diag(k), lam, lambda k: down(k + 1) * lam(k + 1))
 
 
 def ode3_residual(spec: FamilySpec, n: int) -> Poly:
@@ -228,30 +222,24 @@ def ode3_residual(spec: FamilySpec, n: int) -> Poly:
     For scriptL (d = 1) it is x^2 y''' + (q+r+1-x) x y'' + (qr - 2x) y' + n (x y' + y).
     The classical kinds, scaled zero-slot members, are refused.
 
-    Over the product du dl of the parameters' denominators, the band of
-    y_(k+1) is (k+1) du prod_l (k+l), free of n.  In the band of y_k only
-    (k-n)(k+n-1+a+b) depends on n: with a+b-1 = B/A in lowest terms,
-    n-1+a+b has the denominator A for every n, so du = A, and
-    -(k-n)(k+n-1+a+b) = (e_n - e_k)/A with e_k = k (A k + B).  The Laguerre side has no
-    such parameter: du = 1 and e_k = k.  Either way the band of y_k is
-    (e_n - e_k) dl (k+1)^d.
+    The bands read the series' own n-free parameters (``_series_ints``): the
+    d slots, the lower pairs and a+b.  Over the product du dl of their
+    denominators the band of y_(k+1) is (k+1) du prod_l (k+l), free of n.  In
+    the band of y_k only (k-n)(k+n-1+a+b) depends on n: with a+b-1 = B/A in
+    lowest terms, n-1+a+b has the denominator A for every n, so du = A and
+    -(k-n)(k+n-1+a+b) = (e_n - e_k)/A with e_k = k (A k + B), an e_k of the
+    theta form alone.  The Laguerre side has no such parameter: du = 1 and
+    e_k = k.  Either way the band of y_k is (e_n - e_k) dl (k+1)^d.
     """
     return _ode3_bands(spec).residual(make_member(spec, n), n)
 
 
 @lru_cache(maxsize=None)
 def _ode3_bands(spec: FamilySpec) -> _Bands:
-    layout = _LAYOUTS.get(spec.kind)
-    if layout is None:
+    if spec.kind not in _LAYOUTS:
         raise ValueError(f"no third-order equation for family kind {spec.kind!r}")
-    head = len(layout.weights)
-    slots = len(spec.params) - head
-    lower = [(v.numerator, v.denominator) for v in (spec.params[0], *spec.params[head:])]
-    dl = prod(d for _, d in lower)
-    if head == 1:
-        A, B, du = 0, 1, 1
-    else:
-        s = spec.params[0] + spec.params[1] - 1
-        A, B, du = s.denominator, s.numerator, s.denominator
-    return _Bands(A, B, du * dl, lambda k: dl * (k + 1) ** slots,
+    up, lower, s = _series_ints(spec)
+    A, B = (s[1], s[0] - s[1]) if s else (0, 1)  # a+b = S/L, so a+b-1 = (S-L)/L
+    du, dl = A or 1, prod(d for _, d in lower)
+    return _Bands(du * dl, lambda k: k * (A * k + B), lambda k: dl * (k + 1) ** len(up),
                   lambda k: (k + 1) * du * prod(p + k * d for p, d in lower))

@@ -8,12 +8,14 @@ Applying an operator is one int pass out[m + s] += sigma_s(m) y_m over the
 numerators of y, built as one Poly at the end; composing two is Leibniz's
 rule on their coefficients.  The lowering operators D_r y = (x^(r-1) y)^((r-1))
 and their products (``composed_lowering``) have one band, lam; the classical
-operators (``laguerre_operator`` / ``jacobi_operator``) have two.  The two
-identity residuals are two-band int passes over a member's numerators against
-n-free band tables cached per equal spec (``_Bands``), each an immutable
-snapshot.  The pencil L(D y) - lambda_n D y reads L's two bands and D's one;
-the series' own equation, its term ratio in theta = x d/dx, reads the series'
-parameters, and its e_k = k (A k + B) belongs to it alone.
+operators (``laguerre_operator`` / ``jacobi_operator``) have two.  Each of
+these is built once per order tuple or parameter value and shared.  The two
+identity residuals are one two-band int pass over a member's numerators
+against n-free band tables, int tuples cached per equal spec and power-of-two
+size: a sweep to degree n builds O(log n) of them and never changes one.  The
+pencil L(D y) - lambda_n D y reads L's two bands and D's one; the series' own
+equation, its term ratio in theta = x d/dx, reads the series' parameters, and
+its e_k = k (A k + B) belongs to it alone.
 """
 
 from __future__ import annotations
@@ -144,12 +146,14 @@ def _composed_lowering(orders: tuple[int, ...]) -> DiffOp:
     return DiffOp(tuple(coeffs))
 
 
+@lru_cache(maxsize=None)
 def laguerre_operator(q) -> tuple[DiffOp, Callable[[int], Fraction]]:
     """Classical Laguerre-side operator x y'' + (q - x) y' and its eigenvalues -n."""
     op = DiffOp((Poly(), Poly([q, -1]), Poly.monomial(1)))  # Poly takes q exactly
     return op, lambda n: Fraction(-n)
 
 
+@lru_cache(maxsize=None)
 def jacobi_operator(a, b) -> tuple[DiffOp, Callable[[int], Fraction]]:
     """Classical Jacobi-side operator x(1-x) y'' + (a - (a+b)x) y', eigenvalues -n(n+a+b-1)."""
     a, b = as_rational(a), as_rational(b)
@@ -157,34 +161,28 @@ def jacobi_operator(a, b) -> tuple[DiffOp, Callable[[int], Fraction]]:
     return op, lambda n: -n * (n + a + b - 1)
 
 
-class _Bands:
-    """The n-free values of one spec's two-band residual: the x^k coefficient
-    of the degree-n residual of a member y is (e_n - e_k) g(k) y_k + h(k) y_(k+1)
-    over ``den``, with e_n = e(n); the pencil takes e, g and h from L's two
-    bands and D's one, the theta form from the series' own parameters.
-    ``tables`` holds them as int tuples (e, g, h).  A longer member extends a
-    copy, at least doubling it, and rebinds it once: a reader never sees a
-    half-built table, and a sweep up to degree n copies O(log n) times.
+def _two_band_residual(bands, spec: FamilySpec, n: int) -> Poly:
+    """sum_k [(e_n - e_k) g(k) y_k + h(k) y_(k+1)] x^k / den for the degree-n
+    member y: one fused int pass over the tables (den, e, g, h) that
+    ``bands(spec, size)`` caches per power-of-two size.  They are asked for
+    before the member, so a bad spec is reported before a bad n, and cover
+    both e_n and every coefficient of y.
     """
+    den, e, g, h = bands(spec, 1 << max(n, 0).bit_length())
+    y = make_member(spec, n)
+    nums = y.nums
+    if len(nums) > len(e):
+        den, e, g, h = bands(spec, 1 << (len(nums) - 1).bit_length())
+    e_n = e[n]
+    out = [(e_n - ek) * gk * yk + hk * yk1
+           for ek, gk, hk, yk, yk1 in zip(e, g, h, nums, nums[1:] + (0,))]
+    return _poly(out, den * y.den)
 
-    __slots__ = ("den", "_e", "_g", "_h", "tables")
 
-    def __init__(self, den: int, e, g, h):
-        self.den, self._e, self._g, self._h = den, e, g, h
-        self.tables = ((), (), ())
-
-    def residual(self, y: Poly, n: int) -> Poly:
-        nums, (e, g, h) = y.nums, self.tables
-        if len(e) < len(nums):
-            ks = range(len(e), max(len(nums), 2 * len(e)))
-            e += tuple(map(self._e, ks))
-            g += tuple(map(self._g, ks))
-            h += tuple(map(self._h, ks))
-            self.tables = e, g, h
-        e_n = self._e(n)
-        out = [(e_n - ek) * gk * yk + hk * yk1
-               for ek, gk, hk, yk, yk1 in zip(e, g, h, nums, nums[1:] + (0,))]
-        return _poly(out, self.den * y.den)
+def _tables(size: int, den: int, e, g, h) -> tuple:
+    """(den, e, g, h) with the n-free band functions read at k = 0..size-1."""
+    ks = range(size)
+    return den, tuple(map(e, ks)), tuple(map(g, ks)), tuple(map(h, ks))
 
 
 def pencil_residual(spec: FamilySpec, n: int) -> Poly:
@@ -198,16 +196,17 @@ def pencil_residual(spec: FamilySpec, n: int) -> Poly:
     D x^k = lam(k) x^k.  With e_k = -diag(k) the residual is one two-band int
     pass: sum_k [(e_n - e_k) lam(k) y_k + down(k+1) lam(k+1) y_(k+1)] x^k / den.
     """
-    return _pencil_bands(spec).residual(make_member(spec, n), n)
+    return _two_band_residual(_pencil_bands, spec, n)
 
 
 @lru_cache(maxsize=None)
-def _pencil_bands(spec: FamilySpec) -> _Bands:
+def _pencil_bands(spec: FamilySpec, size: int) -> tuple:
     head, orders = _weight_and_orders(spec)
     L = (laguerre_operator if len(head) == 1 else jacobi_operator)(*head)[0]
     (l_bands, l_den), ([(_, lam)], d_den) = L._bands, _composed_lowering(orders)._bands
     down, diag = dict(l_bands)[-1], dict(l_bands)[0]
-    return _Bands(l_den * d_den, lambda k: -diag(k), lam, lambda k: down(k + 1) * lam(k + 1))
+    return _tables(size, l_den * d_den, lambda k: -diag(k), lam,
+                   lambda k: down(k + 1) * lam(k + 1))
 
 
 def ode3_residual(spec: FamilySpec, n: int) -> Poly:
@@ -231,15 +230,15 @@ def ode3_residual(spec: FamilySpec, n: int) -> Poly:
     theta form alone.  The Laguerre side has no such parameter: du = 1 and
     e_k = k.  Either way the band of y_k is (e_n - e_k) dl (k+1)^d.
     """
-    return _ode3_bands(spec).residual(make_member(spec, n), n)
+    return _two_band_residual(_ode3_bands, spec, n)
 
 
 @lru_cache(maxsize=None)
-def _ode3_bands(spec: FamilySpec) -> _Bands:
+def _ode3_bands(spec: FamilySpec, size: int) -> tuple:
     if spec.kind not in _LAYOUTS:
         raise ValueError(f"no third-order equation for family kind {spec.kind!r}")
     up, lower, s = _series_ints(spec)
     A, B = (s[1], s[0] - s[1]) if s else (0, 1)  # a+b = S/L, so a+b-1 = (S-L)/L
     du, dl = A or 1, prod(d for _, d in lower)
-    return _Bands(du * dl, lambda k: k * (A * k + B), lambda k: dl * (k + 1) ** len(up),
-                  lambda k: (k + 1) * du * prod(p + k * d for p, d in lower))
+    return _tables(size, du * dl, lambda k: k * (A * k + B), lambda k: dl * (k + 1) ** len(up),
+                   lambda k: (k + 1) * du * prod(p + k * d for p, d in lower))

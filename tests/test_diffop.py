@@ -408,9 +408,9 @@ def test_recurrence_pass_matches_products_on_perturbed_members(perturbed_members
 
 # --- per-spec band tables -----------------------------------------------------
 #
-# Each residual reads its n-free band values from tables cached per equal spec
-# and extended as immutable snapshots.  The reference below evaluates the bands afresh for every
-# m, as rationals, from the residuals' own formulas.
+# Each residual reads its n-free band values from int tuples cached per equal
+# spec and power-of-two size.  The reference below evaluates the bands afresh
+# for every m, as rationals, from the residuals' own formulas.
 
 
 def _band_formulas_pass(bands, y):
@@ -470,6 +470,11 @@ def _lifted(spec, n):
     return _perturbed(spec, n) + Poly.monomial(n + 1, F(1, n + 3))
 
 
+def _long(spec, n):
+    """The perturbed member plus a term of degree 2n + 3, past any table sized from n."""
+    return _perturbed(spec, n) + Poly.monomial(2 * n + 3, F(1, n + 5))
+
+
 @given(series_specs(), st.lists(st.integers(0, 14), min_size=1, max_size=6))
 @example(("boldP", (F(1, 2), F(1, 2), 2)), [14, 0, 7, 3])  # a + b = 1
 @example(("boldP", (F(1, 3), F(5, 3), 3, 1, 2)), [9, 9, 2])  # a + b = 2
@@ -492,17 +497,38 @@ def test_band_tables_match_the_band_formulas(kind_params, ns):
 
     check(make_member)
     # The tables now exist; a member swapped in afterwards must still be the one
-    # used.  Its residuals are never zero, so the true member's would not pass.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sobhyp.diffop, "make_member", _lifted)
-        check(_lifted)
+    # used, read in full however long it is.  Its residuals are never zero, so
+    # the true member's would not pass.
+    for member in (_lifted, _long):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sobhyp.diffop, "make_member", member)
+            check(member)
 
 
-def test_equal_specs_share_one_table():
+TABLES = [(sobhyp.diffop._pencil_bands, pencil_residual),
+          (sobhyp.diffop._ode3_bands, ode3_residual)]
+
+
+@pytest.mark.parametrize("bands", [bands for bands, _ in TABLES], ids=["pencil", "ode3"])
+def test_equal_specs_share_one_table(bands):
     first, second = bold_p(F(1, 2), F(7, 3), [2, 3]), bold_p(F(1, 2), F(7, 3), [2, 3])
     assert first == second and first is not second
-    assert sobhyp.diffop._pencil_bands(first) is sobhyp.diffop._pencil_bands(second)
-    assert sobhyp.diffop._ode3_bands(first) is sobhyp.diffop._ode3_bands(second)
+    for size in (1, 2, 8, 64):
+        tables = bands(first, size)
+        assert tables is bands(second, size)
+        den, *rows = tables
+        assert type(den) is int
+        assert all(len(row) == size and all(type(v) is int for v in row) for row in rows)
+
+
+@pytest.mark.parametrize("bands, residual", TABLES, ids=["pencil", "ode3"])
+def test_a_sweep_builds_logarithmically_many_tables(bands, residual):
+    N, spec = 40, bold_p(F(3, 11), F(29, 13), [2, 4])  # a spec no other test uses
+    before = bands.cache_info().currsize
+    for n in range(N + 1):
+        assert residual(spec, n).is_zero
+    # Sizes 1, 2, 4, .., 64: seven tables, the bound floor(log2(N + 1)) + 2 exactly.
+    assert bands.cache_info().currsize - before <= math.floor(math.log2(N + 1)) + 2
 
 
 def test_a_fractional_slot_raises_on_every_call():

@@ -1,15 +1,17 @@
-"""The identity residuals against an independent oracle built in sympy.
+"""The identity residuals and the Gauss rules against independent oracles.
 
 Each member is summed from its pFq definition with ``sympy.rf``; the lowering
 D_r y = (x^(r-1) y)^((r-1)), the classical operator L and the theta form
 [theta prod_l (theta+l-1) - x prod_u (theta+u)] y / x are written with
 ``diff`` from their textbook formulas.  Nothing here reads the library's
 series, bands or operators.  The arithmetic is ``sympy.Poly`` over QQ, not
-expressions, to keep the file fast.
+expressions, to keep the file fast.  The float Gauss rules are checked
+against ``mpmath.gauss_quadrature`` at 40 digits.
 """
 
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 import sympy
 from sympy import Rational, factorial, rf
@@ -18,6 +20,7 @@ import sobhyp.diffop
 from sobhyp.diffop import ode3_residual, pencil_residual
 from sobhyp.exactnum import Poly
 from sobhyp.families import bold_l, bold_p, make_member, script_l, script_p
+from sobhyp.sobolev import gauss_rule, jacobi_weight, laguerre_weight
 
 x = sympy.Symbol("x")
 NMAX = 6
@@ -113,3 +116,57 @@ def test_perturbed_members_match_the_oracle(monkeypatch, spec, residual, oracle)
         got = residual(spec, n)
         assert (got.nums, got.den) == (want.nums, want.den), n
         assert n == 0 or not got.is_zero, n
+
+
+# --- Gauss rules against mpmath ------------------------------------------------
+#
+# mpmath's generalized Laguerre rule has the weight x^alpha e^-x, alpha = q - 1,
+# of mass Gamma(q).  Its Jacobi rule has (1-x)^alpha (1+x)^beta on [-1, 1]:
+# with t = (1 + x)/2, alpha = b - 1 and beta = a - 1 it is the Jacobi-side
+# weight t^(a-1) (1-t)^(b-1) of mass 2^(a+b-1) B(a, b).
+
+def _mpmath_rule(weight, npoints):
+    """(nodes, weights) of the normalized rule, sorted by node, at 40 digits."""
+    with mpmath.workdps(40):
+        ps = [mpmath.mpf(p.numerator) / p.denominator for p in weight.params]
+        if len(ps) == 1:
+            nodes, weights = mpmath.mp.gauss_quadrature(npoints, "glaguerre", alpha=ps[0] - 1)
+            mass = mpmath.gamma(ps[0])
+        else:
+            a, b = ps
+            nodes, weights = mpmath.mp.gauss_quadrature(npoints, "jacobi", alpha=b - 1, beta=a - 1)
+            nodes = [(1 + x) / 2 for x in nodes]
+            mass = 2 ** (a + b - 1) * mpmath.beta(a, b)
+        return zip(*sorted((x, w / mass) for x, w in zip(nodes, weights)))
+
+
+def _relative_error(got, want):
+    with mpmath.workdps(40):
+        return max(abs(mpmath.mpf(g) - w) / abs(w) for g, w in zip(got, want))
+
+
+WEIGHTS = [laguerre_weight(F(1, 2)), laguerre_weight(3),
+           jacobi_weight(1, 2), jacobi_weight(F(1, 2), F(3, 2))]
+# Large-q Laguerre rules whose weights are off by 9.1e-12 (q = 1e8, 16 points),
+# 2.5e-11 (32 points) and 3.5e-7 (q = 1e20, 3 points).
+FAR_LAGUERRE = [(laguerre_weight(10**8), 16), (laguerre_weight(10**8), 32),
+                (laguerre_weight(10**20), 3)]
+LOSES_WEIGHTS = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1: QL loses the weights of large-q Laguerre rules")
+
+
+def _case(weight, npoints, *marks):
+    name = f"{weight.kind}({', '.join(map(str, weight.params))})-{npoints}"
+    return pytest.param(weight, npoints, marks=marks, id=name)
+
+
+@pytest.mark.parametrize("weight, npoints", [
+    *(_case(w, n) for w in WEIGHTS for n in (3, 16, 32)),
+    *(_case(w, n, LOSES_WEIGHTS) for w, n in FAR_LAGUERRE),
+])
+def test_gauss_rules_match_mpmath(weight, npoints):
+    rule = gauss_rule(weight, npoints)
+    nodes, weights = _mpmath_rule(weight, npoints)
+    assert len(rule.nodes) == npoints
+    assert _relative_error(rule.nodes, nodes) < 1e-12
+    assert _relative_error(rule.weights, weights) < 1e-12

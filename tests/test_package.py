@@ -37,10 +37,10 @@ def test_every_public_name_resolves():
 def test_cold_import_leaves_dataclasses_and_inspect_out():
     # The records are built on exactnum._Record: importing the CLI pulls in
     # neither dataclasses nor inspect, the largest part of the cold start.
-    # sympy is a test-time oracle only; the runtime stays stdlib-only.
+    # sympy and mpmath are test-time oracles only; the runtime stays stdlib-only.
     src = os.path.dirname(os.path.dirname(sobhyp.__file__))
     code = ("import sys, sobhyp.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'sympy'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'mpmath', 'sympy'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr

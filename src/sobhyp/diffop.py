@@ -67,19 +67,16 @@ class DiffOp(_Record):
         return len(self.coeffs) - 1 if self.coeffs else None
 
     def apply(self, y: Poly) -> Poly:
-        return _band_pass(y, *self._bands)
+        """sum_s sigma_s(m) y_m x^(m+s) / den over the bands (s, sigma_s), in one int pass."""
+        bands, den = self._bands
+        nums = y.nums
+        out = [0] * (len(nums) + max((s for s, _ in bands), default=0))
+        for s, sigma in bands:
+            for m in range(max(0, -s), len(nums)):
+                out[m + s] += sigma(m) * nums[m]
+        return _poly(out, den * y.den)
 
     __call__ = apply
-
-
-def _band_pass(y: Poly, bands, den: int) -> Poly:
-    """sum_s sigma_s(m) y_m x^(m+s) / den over the bands (s, sigma_s), in one int pass."""
-    nums = y.nums
-    out = [0] * (len(nums) + max((s for s, _ in bands), default=0))
-    for s, sigma in bands:
-        for m in range(max(0, -s), len(nums)):
-            out[m + s] += sigma(m) * nums[m]
-    return _poly(out, den * y.den)
 
 
 def identity_op() -> DiffOp:
@@ -179,12 +176,6 @@ def _two_band_residual(bands, spec: FamilySpec, n: int) -> Poly:
     return _poly(out, den * y.den)
 
 
-def _tables(size: int, den: int, e, g, h) -> tuple:
-    """(den, e, g, h) with the n-free band functions read at k = 0..size-1."""
-    ks = range(size)
-    return den, tuple(map(e, ks)), tuple(map(g, ks)), tuple(map(h, ks))
-
-
 def pencil_residual(spec: FamilySpec, n: int) -> Poly:
     """L(D y_n) - lambda_n (D y_n) for the family's classical operator L: zero
     exactly when the lowered member is a classical eigenfunction.
@@ -205,8 +196,9 @@ def _pencil_bands(spec: FamilySpec, size: int) -> tuple:
     L = (laguerre_operator if len(head) == 1 else jacobi_operator)(*head)[0]
     (l_bands, l_den), ([(_, lam)], d_den) = L._bands, _composed_lowering(orders)._bands
     down, diag = dict(l_bands)[-1], dict(l_bands)[0]
-    return _tables(size, l_den * d_den, lambda k: -diag(k), lam,
-                   lambda k: down(k + 1) * lam(k + 1))
+    ks = range(size)
+    return (l_den * d_den, tuple(-diag(k) for k in ks), tuple(map(lam, ks)),
+            tuple(down(k + 1) * lam(k + 1) for k in ks))
 
 
 def ode3_residual(spec: FamilySpec, n: int) -> Poly:
@@ -240,5 +232,7 @@ def _ode3_bands(spec: FamilySpec, size: int) -> tuple:
     up, lower, s = _series_ints(spec)
     A, B = (s[1], s[0] - s[1]) if s else (0, 1)  # a+b = S/L, so a+b-1 = (S-L)/L
     du, dl = A or 1, prod(d for _, d in lower)
-    return _tables(size, du * dl, lambda k: k * (A * k + B), lambda k: dl * (k + 1) ** len(up),
-                   lambda k: (k + 1) * du * prod(p + k * d for p, d in lower))
+    ks = range(size)
+    return (du * dl, tuple(k * (A * k + B) for k in ks),
+            tuple(dl * (k + 1) ** len(up) for k in ks),
+            tuple((k + 1) * du * prod(p + k * d for p, d in lower) for k in ks))

@@ -25,8 +25,9 @@ held once per spec; n-1+a+b is (S + (n-1) L) / L over a+b = S/L, in lowest
 terms for every n.  The terms meet over one common denominator only at the
 end.  Float parameters take the same route at their binary values (a finite
 float is a dyadic rational), and only the resulting coefficients are
-rounded.  A ``FamilySpec`` compares and hashes by one int key, so a member
-cached under one spec is found through an equal one by one tuple compare.
+rounded.  A ``FamilySpec`` compares and hashes by one int key, built with
+its checks, so a member cached under one spec is found through an equal one
+by one tuple compare.
 """
 
 from __future__ import annotations
@@ -88,36 +89,26 @@ class FamilySpec(_Record):
     """A family kind together with its exact rational parameters.
 
     Equality and hash read one int key, (kind, n0, d0, n1, d1, ...) over the
-    parameters' numerators and denominators, built on first use.  The
-    parameters are canonical Fractions, so two specs have equal keys exactly
-    when they have equal parameters, and a cache lookup through an equal,
-    distinct spec is one C-level tuple compare.
+    parameters' numerators and denominators, built with the checks when the
+    spec is made; nothing is written to a spec after that.  The parameters
+    are canonical Fractions, so two specs have equal keys exactly when they
+    have equal parameters, and a cache lookup through an equal, distinct spec
+    is one C-level tuple compare.
     """
 
     kind: str
     params: tuple[Fraction, ...]
 
-    _key = None
-
-    def _int_key(self) -> tuple:
-        key = self._key
-        if key is None:
-            key = (self.kind, *chain.from_iterable(_pairs(self.params)))
-            object.__setattr__(self, "_key", key)
-        return key
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self._key or self._int_key()) == (other._key or other._int_key())
+            return self._key == other._key
         return NotImplemented
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self._key or self._int_key()))
         return self._hash
 
     def __post_init__(self):
-        """Reject an unknown kind, a wrong parameter count or a parameter out of range."""
+        """Reject a bad kind, parameter count or parameter; then set the key and its hash."""
         params = tuple(as_rational(p) for p in self.params)
         object.__setattr__(self, "params", params)
         kind, bold = self.kind, _CLASSICAL.get(self.kind)
@@ -130,11 +121,15 @@ class FamilySpec(_Record):
             raise ValueError(f"{kind} takes exactly {low} parameters, got {len(params)}")
         if len(params) < low:
             raise ValueError(f"{kind} takes at least {low} parameters, got {len(params)}")
-        # p > -1 and p > 0, read on the numerators: a Fraction's denominator is positive.
-        if bold and any(p.numerator <= -p.denominator for p in params):
+        # p > -1 and p > 0, read on the pairs: a Fraction's denominator is positive.
+        pairs = _pairs(params)
+        if bold and any(p <= -d for p, d in pairs):
             raise ValueError(f"{kind} parameters must be greater than -1")
-        if not bold and any(p.numerator <= 0 for p in params):
+        if not bold and any(p <= 0 for p, _ in pairs):
             raise ValueError(f"{kind} parameters must be strictly positive")
+        key = (kind, *chain.from_iterable(pairs))
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
 
 def script_l(q, r) -> FamilySpec:
@@ -298,10 +293,8 @@ def leading_coefficient(spec: FamilySpec, n: int) -> Fraction:
     if spec.kind == JACOBI_SHIFTED:
         alpha, beta = spec.params
         return Fraction(-1) ** n * pochhammer(n + alpha + beta + 1, n) / factorial(n)
-    if spec.kind == JACOBI:
-        alpha, beta = spec.params
-        return pochhammer(n + alpha + beta + 1, n) / (Fraction(2) ** n * factorial(n))
-    raise ValueError(f"unknown family kind {spec.kind!r}")
+    alpha, beta = spec.params  # jacobi, the one kind left
+    return pochhammer(n + alpha + beta + 1, n) / (Fraction(2) ** n * factorial(n))
 
 
 def member_coeffs_float(kind: str, params: Sequence[float], n: int) -> list[float]:

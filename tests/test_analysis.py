@@ -12,6 +12,7 @@ from sobhyp.analysis import (
     _exact_coeffs,
     _exact_newton,
     _monic_coeffs,
+    _start,
     discriminant_L,
     discriminant_P,
     integral_rep_check,
@@ -49,6 +50,17 @@ def test_roots_conjugate_pair():
     assert lo.conjugate() == pytest.approx(hi, abs=1e-12)
     assert rs.residual_bound <= 1e-9
     assert all(abs(_eval([72, -16, 1], z)) < 1e-9 for z in rs.roots)
+
+
+def test_roots_start_on_the_newton_polygon_hull():
+    # The points (0, 0), (2, log 1e-12), (4, 0): the middle one lies below the
+    # upper hull and is dropped, so every start point is on the unit circle,
+    # where the roots are: x^2 = (-1e-12 +/- i sqrt(4 - 1e-24)) / 2 has modulus 1.
+    coeffs = [1, 0, 1e-12, 0, 1]
+    assert [abs(z) for z in _start(_exact_coeffs(coeffs))] == pytest.approx([1.0] * 4, abs=1e-15)
+    rs = roots(coeffs)
+    assert len(rs.roots) == 4
+    assert all(abs(abs(z) - 1) <= 1e-14 for z in rs.roots)
 
 
 def test_roots_real_pair_sorted():

@@ -343,6 +343,16 @@ def test_verify_integral_rep_rejects_bad_tol(capsys, tol, message):
     assert f"argument --tol: {message}" in captured.err
 
 
+def test_verify_integral_rep_records_an_accepted_tol(capsys):
+    code, doc, _ = run_json(
+        capsys, "verify", "integral-rep", "--family", "scriptL", "--q", "1", "--r", "2",
+        "--nmax", "2", "--z", "0.5", "--tol", "0.001",
+    )
+    assert code == 0
+    assert doc["pass"] is True
+    assert doc["params"]["tol"] == 0.001
+
+
 def test_verify_integral_rep_overflow_names_z(capsys):
     code, out, err = run_cli(
         capsys, "verify", "integral-rep", "--family", "scriptL", "--q", "1", "--r", "2",
@@ -753,6 +763,32 @@ def test_argparse_rejects_bad_range():
         main(["table", "eval-grid", "--family", "scriptL", "--q", "1", "--r", "2",
               "--n", "1", "--x-range", "0:1"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("count,message", [
+    ("x", "grid count must be an integer in '0:1:x'"),
+    ("0", "grid count must be at least 1"),
+])
+def test_argparse_rejects_bad_grid_count(capsys, count, message):
+    with pytest.raises(SystemExit) as info:
+        main(["table", "eval-grid", "--family", "scriptL", "--q", "1", "--r", "2",
+              "--n", "1", "--x-range", f"0:1:{count}"])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument --x-range: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "recurrence", "--family", "boldL", "--q", "1", "--nmax", "2"],
+    ["verify", "integral-rep", "--family", "boldP", "--a", "1", "--b", "2", "--nmax", "2",
+     "--z", "0.5"],
+])
+def test_script_only_commands_reject_bold_families(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: family must be one of scriptL, scriptP here, got {argv[3]}\n"
 
 
 def test_module_entry_point_runs():

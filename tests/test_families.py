@@ -211,6 +211,8 @@ def test_spec_validation():
 def test_negative_member_index_rejected():
     with pytest.raises(ValueError):
         make_member(script_l(1, 2), -1)
+    with pytest.raises(ValueError, match="^member index must be nonnegative$"):
+        leading_coefficient(script_l(1, 2), -1)
 
 
 def test_float_path_agrees_with_exact():
@@ -493,7 +495,7 @@ def test_spec_equality_and_hash_read_the_values():
 @pytest.mark.parametrize("spec", [script_l(F(1, 2), 3), bold_p(F(2, 3), 2, [F(7, 5), 3]),
                                   jacobi(F(-1, 2), 0)])
 def test_spec_round_trips_stay_equal(spec):
-    hash(spec)  # built its key before the round trip
+    hash(spec)  # the twins rebuild their key and hash from the fields, not from this one
     for twin in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
         assert twin == spec and hash(twin) == hash(spec)
 
@@ -514,7 +516,7 @@ def test_cached_member_through_an_equal_spec_compares_no_fraction(monkeypatch):
 def test_threads_sharing_one_fresh_spec_build_the_same_members():
     """Four threads start at once on one fresh bold spec per trial and each build
     members 0..30 uncached, so that each call reads the spec's cached series
-    parameters and lazy key while the interpreter switches threads as often as it can."""
+    parameters and its key while the interpreter switches threads as often as it can."""
     ns, got = range(31), []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -6,7 +6,9 @@ D_r y = (x^(r-1) y)^((r-1)), the classical operator L and the theta form
 ``diff`` from their textbook formulas.  Nothing here reads the library's
 series, bands or operators.  The arithmetic is ``sympy.Poly`` over QQ, not
 expressions, to keep the file fast.  The float Gauss rules are checked
-against ``mpmath.gauss_quadrature`` at 40 digits.
+against ``mpmath.gauss_quadrature`` at 40 digits, and every member kind and
+``limit_check`` against ``mpmath.hyper`` and mpmath's classical polynomials
+at exact rational points.
 """
 
 from fractions import Fraction as F
@@ -19,7 +21,17 @@ from sympy import Rational, factorial, rf
 import sobhyp.diffop
 from sobhyp.diffop import ode3_residual, pencil_residual
 from sobhyp.exactnum import Poly
-from sobhyp.families import bold_l, bold_p, make_member, script_l, script_p
+from sobhyp.analysis import limit_check
+from sobhyp.families import (
+    bold_l,
+    bold_p,
+    jacobi,
+    jacobi_shifted,
+    laguerre,
+    make_member,
+    script_l,
+    script_p,
+)
 from sobhyp.sobolev import gauss_rule, jacobi_weight, laguerre_weight
 
 x = sympy.Symbol("x")
@@ -170,3 +182,71 @@ def test_gauss_rules_match_mpmath(weight, npoints):
     assert len(rule.nodes) == npoints
     assert _relative_error(rule.nodes, nodes) < 1e-12
     assert _relative_error(rule.weights, weights) < 1e-12
+
+
+# --- Members and the limit relation against mpmath ------------------------------
+#
+# Each member kind is evaluated at exact rational points and compared with
+# mpmath at 50 digits: the hypergeometric kinds with ``mpmath.hyper`` on their
+# upper (-n, 1, .., 1) or (-n, n-1+a+b, 1, .., 1) and lower (q, r..) or
+# (a, c..) parameters, the classical kinds with ``mpmath.laguerre`` and
+# ``mpmath.jacobi``.  None of it reads the library's series.
+
+XS = [F(1, 3), F(-5, 2), F(7, 4)]
+HYPER_SPECS = [script_l(F(1, 2), 3), script_p(F(1, 3), F(5, 7), 2), bold_l(F(2, 3)),
+               bold_l(F(7, 3), [F(5, 2), 3]), bold_p(F(1, 2), 2), bold_p(1, F(2, 3), [2, 3])]
+CLASSICAL_SPECS = [
+    *(laguerre(alpha) for alpha in (F(-1, 2), F(3, 2))),
+    *(kind(alpha, beta) for kind in (jacobi, jacobi_shifted)
+      for alpha in (F(-1, 2), F(3, 2)) for beta in (0, F(5, 3))),
+]
+
+
+def _mpf(v):
+    return mpmath.mpf(v.numerator) / v.denominator
+
+
+def _hyper(spec, n, x):
+    """The degree-n member of a hypergeometric kind at x, by ``mpmath.hyper``."""
+    weights = 1 if spec.kind in ("scriptL", "boldL") else 2
+    w, *b = spec.params[:weights]
+    slots = spec.params[weights:]
+    upper = [-n, *(n - 1 + _mpf(w + v) for v in b), *[1] * len(slots)]
+    return mpmath.hyper(upper, [_mpf(v) for v in (w, *slots)], _mpf(x))
+
+
+def _classical(spec, n, x):
+    """The degree-n classical member at x, by mpmath's own polynomials."""
+    if spec.kind == "laguerre":
+        return mpmath.laguerre(n, _mpf(spec.params[0]), _mpf(x))
+    t = _mpf(x) if spec.kind == "jacobi" else 1 - 2 * _mpf(x)
+    return mpmath.jacobi(n, *map(_mpf, spec.params), t)
+
+
+@pytest.mark.parametrize("spec, oracle", [
+    *(pytest.param(spec, _hyper, id=str(spec)) for spec in HYPER_SPECS),
+    *(pytest.param(spec, _classical, id=str(spec)) for spec in CLASSICAL_SPECS),
+])
+def test_members_match_mpmath_at_rational_points(spec, oracle):
+    with mpmath.workdps(50):
+        for n in range(13):
+            member = make_member(spec, n)
+            for x in XS:
+                got, want = _mpf(member(x)), oracle(spec, n, x)
+                # The bound is absolute near zero: P_1^(-1/2, 0)(1/3) is exactly 0.
+                assert abs(got - want) <= mpmath.mpf(10) ** -40 * max(1, abs(want)), (n, x)
+
+
+@pytest.mark.parametrize("q, r, n, x", [
+    (2, 3, 8, 1), (1, 3, 8, 1), (F(1, 2), 3, 5, F(-3, 2)), (2, 3, 4, F(7, 3)),
+])
+def test_limit_errors_match_mpmath(q, r, n, x):
+    bs = [2 ** k for k in range(8, 13)]
+    want = []
+    with mpmath.workdps(60):
+        q_, r_, x_ = map(_mpf, map(F, (q, r, x)))
+        target = mpmath.hyper([-n, 1], [q_, r_], x_)
+        for b in bs:
+            approx = mpmath.hyper([-n, n - 1 + q_ + b, 1], [q_, r_], x_ / b)
+            want.append(float(abs(approx - target)))
+    assert limit_check(q, r, n, x, bs) == want

@@ -41,6 +41,13 @@ def test_phi_P_negative_index_rejected():
         phi_P(1, 1, 1, -1)
 
 
+def test_phi_L_and_generation_reject_a_negative_index():
+    with pytest.raises(ValueError, match="^recurrence index must be nonnegative$"):
+        phi_L(1, 1, -1)
+    with pytest.raises(ValueError, match="^generation length must be nonnegative$"):
+        generate_P_by_recurrence(1, 2, 3, -1)
+
+
 @pytest.mark.parametrize("func,args,family", [
     (generate_P_by_recurrence, (F(-1, 2), 3, 1, 5), "scriptP"),
     (generate_P_by_recurrence, (F(-1, 2), 3, 1, 0), "scriptP"),

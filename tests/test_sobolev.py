@@ -10,7 +10,16 @@ from hypothesis import example, given, settings, strategies as st
 import sobhyp
 import sobhyp.sobolev
 from sobhyp.exactnum import Poly, pochhammer
-from sobhyp.families import bold_l, bold_p, make_member, script_l, script_p
+from sobhyp.families import (
+    bold_l,
+    bold_p,
+    jacobi,
+    jacobi_shifted,
+    laguerre,
+    make_member,
+    script_l,
+    script_p,
+)
 from sobhyp.diffop import DiffOp, composed_lowering, make_D_xi, pencil_residual
 from sobhyp.sobolev import (
     ConvergenceError,
@@ -38,6 +47,8 @@ def test_weight_validation():
         jacobi_weight(1, -2)
     with pytest.raises(ValueError):
         WeightSpec("cauchy", (F(1),))
+    with pytest.raises(ValueError, match=r"^laguerre weight takes 1 parameter\(s\)$"):
+        WeightSpec("laguerre", (1, 2))
 
 
 def _closed_form_moment(weight, k):
@@ -372,6 +383,22 @@ def test_non_integer_order_rejected_with_one_message(spec):
         with pytest.raises(ValueError) as info:
             check()
         assert str(info.value) == messages[0].replace(str(spec.params[-1]), "0")
+
+
+@pytest.mark.parametrize(
+    "spec", [laguerre(F(1, 2)), jacobi(1, F(3, 2)), jacobi_shifted(F(3, 2), 1)]
+)
+def test_classical_kind_has_no_lowering_operator(spec):
+    # A classical kind is a scaled zero-slot member, not a family of its own form.
+    checks = (sobolev_form_for, lambda s: a_n_normalized(s, 1), lambda s: pencil_residual(s, 1))
+    for check in checks:
+        with pytest.raises(ValueError, match="^no lowering operator for family kind "):
+            check(spec)
+
+
+def test_a_n_normalized_rejects_a_negative_index():
+    with pytest.raises(ValueError, match="^member index must be nonnegative$"):
+        a_n_normalized(script_l(1, 2), -1)
 
 
 def test_exact_inner_product_values():

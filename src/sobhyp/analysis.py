@@ -63,43 +63,44 @@ class RootSet(_Record):
     iterations: int
 
 
-def _exact_coeffs(p: Union[Poly, Sequence]) -> list[tuple[int, int]]:
-    """Gaussian-integer coefficients (re, im), ascending, proportional to p's.
+def _exact_coeffs(p: Union[Poly, Sequence]) -> list[int]:
+    """Integer coefficients, ascending, proportional to p's.
 
-    A Poly gives its numerators; a sequence gives the exact values of its
-    entries (a float's binary value, the parts of a complex) over their
-    common denominator.  Trailing zeros go.
+    A Poly gives its numerators; a sequence of real numbers gives the exact
+    values of its entries (a float's binary value) over their common
+    denominator.  Trailing zeros go.  A complex entry is refused.
     """
     if isinstance(p, Poly):
-        return [(n, 0) for n in p.nums]
+        return list(p.nums)
+    if any(isinstance(c, complex) for c in p):
+        raise ValueError("root finding needs real coefficients")
     try:
-        parts = [Fraction(x) for c in p
-                 for x in ((c.real, c.imag) if isinstance(c, complex) else (c, 0))]
+        parts = [Fraction(c) for c in p]
     except (ValueError, OverflowError):
         raise ValueError("root finding needs finite coefficients") from None
-    *nums, _ = _scaled(*parts) if parts else (1,)
-    cs = list(zip(nums[::2], nums[1::2]))
-    while cs and cs[-1] == (0, 0):
+    *cs, _ = _scaled(*parts) if parts else (1,)
+    while cs and not cs[-1]:
         cs.pop()
     return cs
 
 
-def _monic_coeffs(cs: list[tuple[int, int]]) -> list[complex]:
-    """The coefficients over the leading one, each part rounded once.
+def _monic_coeffs(cs: list[int]) -> list[complex]:
+    """The coefficients over the leading one, each rounded once, as complex.
 
     An int / int quotient is correctly rounded, so a leading coefficient such
     as 1/200! (zero as a float) still gives the monic coefficients exactly
-    rounded, and a zero part divides to +0.0.
+    rounded.  Each is a lead / lead^2, not a / lead, so that a zero
+    coefficient over a negative lead divides to +0.0, not -0.0.
     """
-    lr, li = cs[-1]
-    norm = lr * lr + li * li
+    lead = cs[-1]
+    norm = lead * lead
     try:
-        return [complex((a * lr + b * li) / norm, (b * lr - a * li) / norm) for a, b in cs]
+        return [complex(a * lead / norm) for a in cs]
     except OverflowError as exc:
         raise ValueError(f"the monic coefficients exceed the float range ({exc})") from None
 
 
-def _start(cs: list[tuple[int, int]]) -> list[complex]:
+def _start(cs: list[int]) -> list[complex]:
     """Bini's start points from the Newton polygon of p.
 
     Each edge (i, j) of the upper convex hull of the points (k, log|c_k|)
@@ -110,10 +111,10 @@ def _start(cs: list[tuple[int, int]]) -> list[complex]:
     """
     n = len(cs) - 1
     hull: list[tuple[int, float]] = []
-    for k, (a, b) in enumerate(cs):
-        if not (a or b):
+    for k, a in enumerate(cs):
+        if not a:
             continue
-        y = log(a * a + b * b) / 2
+        y = log(a * a) / 2  # log|a| from a^2; log(abs(a)) can differ in the last bit
         while len(hull) > 1 and (
             (hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
             >= (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])
@@ -134,26 +135,22 @@ def _aberth_terms(zs: list[complex], i: int) -> list[complex]:
     return [1 / (z - v) for v in zs[:i]] + [1 / (z - v) for v in zs[i + 1:]]
 
 
-def _centered(cs: list[tuple[int, int]]) -> tuple[complex, list[tuple[int, int]]]:
-    """(c, qs): a dyadic c of 8 bits next to the centroid -c_(n-1) / (n c_n) of
-    the roots, and Gaussian-integer coefficients proportional to p(t + c)'s.
+def _centered(cs: list[int]) -> tuple[complex, list[int]]:
+    """(c, qs): a real dyadic c of 8 bits next to the centroid -c_(n-1) / (n c_n)
+    of the roots, and integer coefficients proportional to p(t + c)'s.
 
     With c = w / 2^k, 2^(kn) p((y + w) / 2^k) = sum_j c_j 2^(k(n-j)) (y + w)^j
     is shifted by w with repeated synthetic division in ints, and y = 2^k t.
     """
     n = len(cs) - 1
-    (ar, ai), (lr, li) = cs[-2], cs[-1]
-    norm = n * (lr * lr + li * li)
-    cr, ci = Fraction(-(ar * lr + ai * li), norm), Fraction(ar * li - ai * lr, norm)
-    k = max(0, 8 - frexp(float(max(abs(cr), abs(ci))))[1]) if cr or ci else 0
-    u, v = round(cr * 2 ** k), round(ci * 2 ** k)
-    es = [(a << k * (n - j), b << k * (n - j)) for j, (a, b) in enumerate(cs)]
+    centroid = Fraction(-cs[-2], n * cs[-1])
+    k = max(0, 8 - frexp(float(abs(centroid)))[1]) if centroid else 0
+    w = round(centroid * 2 ** k)
+    es = [a << k * (n - j) for j, a in enumerate(cs)]
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
-            (er, ei), (fr, fi) = es[j], es[j + 1]
-            es[j] = (er + u * fr - v * fi, ei + u * fi + v * fr)
-    center = complex(ldexp(u, -k), ldexp(v, -k))
-    return center, [(er << k * m, ei << k * m) for m, (er, ei) in enumerate(es)]
+            es[j] += w * es[j + 1]
+    return complex(ldexp(w, -k)), [e << k * m for m, e in enumerate(es)]
 
 
 def _basis(cs: list[complex], center: complex) -> tuple:
@@ -164,8 +161,7 @@ def _basis(cs: list[complex], center: complex) -> tuple:
     return center, cs[-1], cs[-2::-1], moduli, _ROUNDING * (len(cs) - 1) * sum(moduli)
 
 
-def _float_stage(exact: list[tuple[int, int]], cs: list[complex], zs: list[complex],
-                 max_iter: int):
+def _float_stage(exact: list[int], cs: list[complex], zs: list[complex]):
     """Aberth rounds in float; a root freezes once its residual is rounding error.
 
     Horner runs in powers of z, or, for a root that the bound there leaves
@@ -190,7 +186,7 @@ def _float_stage(exact: list[tuple[int, int]], cs: list[complex], zs: list[compl
     errors = [inf] * n
     active = range(n)
     rounds = 0
-    for rounds in range(1, max_iter + 1):
+    for rounds in range(1, _ABERTH_MAX_ITER + 1):
         left = []
         try:
             for i in active:
@@ -251,7 +247,7 @@ def _float_stage(exact: list[tuple[int, int]], cs: list[complex], zs: list[compl
 
 
 def _mirror(zs: list[complex], residuals: list[float]) -> tuple[set, dict]:
-    """For a real polynomial: the roots proved real and the proved conjugate pairs.
+    """The roots proved real and the proved conjugate pairs.
 
     The disks D_i = D(z_i, n |p(z_i)| / prod_{j != i} |z_i - z_j|) cover the
     roots, and a union of m overlapping disks holds exactly m of them
@@ -287,17 +283,17 @@ def _mirror(zs: list[complex], residuals: list[float]) -> tuple[set, dict]:
     return reals, mates
 
 
-def _exact_newton(cs: list[tuple[int, int]], z: complex, real: bool) -> complex:
+def _exact_newton(cs: list[int], z: complex) -> complex:
     """p(z) / p'(z) at the binary value of z, rounded once.
 
     z = (a + i b) / 2^k, so Horner's rule runs in Gaussian integers: with
     P_j = b_j 2^(k (n-j)) and D_j = d_j 2^(k (n-1-j)) for the Horner values
     b_j of p and d_j of p', P_j = a' P_(j+1) + c_j 2^(k (n-j)) and
     D_j = a' D_(j+1) + P_(j+1), a' = a + i b, and p / p' = P_0 / (2^k D_0).
-    For a real polynomial at a real point the imaginary parts are zero and
-    are not carried.  An int / int quotient is correctly rounded, as is the
-    one division of ``sobolev._exact_rule_sum``.  Raises ZeroDivisionError
-    where p'(z) = 0 and p(z) != 0.
+    At a real point the imaginary parts are zero and are not carried.  An
+    int / int quotient is correctly rounded, as is the one division of
+    ``sobolev._exact_rule_sum``.  Raises ZeroDivisionError where p'(z) = 0
+    and p(z) != 0.
     """
     a, qa = z.real.as_integer_ratio()
     b, qb = z.imag.as_integer_ratio()
@@ -305,18 +301,18 @@ def _exact_newton(cs: list[tuple[int, int]], z: complex, real: bool) -> complex:
     a, b = a * (q // qa), b * (q // qb)
     k = q.bit_length() - 1
     terms = reversed(cs)
-    pr, pi_ = next(terms)
+    pr, pi_ = next(terms), 0
     dr = di = shift = 0
-    if real and not b:
-        for cr, _ in terms:
+    if not b:
+        for c in terms:
             shift += k
             dr = dr * a + pr
-            pr = pr * a + (cr << shift)
+            pr = pr * a + (c << shift)
     else:
-        for cr, ci in terms:
+        for c in terms:
             shift += k
             dr, di = dr * a - di * b + pr, dr * b + di * a + pi_
-            pr, pi_ = pr * a - pi_ * b + (cr << shift), pr * b + pi_ * a + (ci << shift)
+            pr, pi_ = pr * a - pi_ * b + (c << shift), pr * b + pi_ * a
     if not (pr or pi_):
         return 0j
     if not (pi_ or di):
@@ -325,19 +321,18 @@ def _exact_newton(cs: list[tuple[int, int]], z: complex, real: bool) -> complex:
     return complex((pr * dr + pi_ * di) / norm, (pi_ * dr - pr * di) / norm)
 
 
-def _exact_stage(cs, real: bool, zs: list[complex], todo: list[int], reals: set,
-                 mates: dict, tol: float, max_iter: int):
+def _exact_stage(cs: list[int], zs: list[complex], todo: list[int], reals: set, mates: dict):
     """Aberth sweeps with p/p' exact at each iterate's binary value.
 
     A real root moves along the real line, and the lower root of a pair
     follows its upper mate as its conjugate.  A root is done once its
     correction w, or the next one that Newton's quadratic convergence
-    predicts, |w|^2 sum_j 1 / |z - z_j|, is below tol |z| or two ulps.
-    Returns (sweeps, reason), ``reason`` None once every root is done.
+    predicts, |w|^2 sum_j 1 / |z - z_j|, is below ``_ABERTH_TOL`` |z| or two
+    ulps.  Returns (sweeps, reason), ``reason`` None once every root is done.
     """
     sweeps = 0
     while todo:
-        if sweeps == max_iter:
+        if sweeps == _ABERTH_MAX_ITER:
             return sweeps, f"exact root refinement did not converge in {sweeps} sweeps"
         sweeps += 1
         left = []
@@ -345,7 +340,7 @@ def _exact_stage(cs, real: bool, zs: list[complex], todo: list[int], reals: set,
             for i in todo:
                 z = zs[i]
                 terms = _aberth_terms(zs, i)
-                newton = _exact_newton(cs, z, real)
+                newton = _exact_newton(cs, z)
                 w = newton / (1 - newton * sum(terms))
                 if i in reals:
                     w = complex(w.real)
@@ -353,7 +348,8 @@ def _exact_stage(cs, real: bool, zs: list[complex], todo: list[int], reals: set,
                 if i in mates:
                     zs[mates[i]] = zs[i].conjugate()
                 r, step = abs(z), abs(w)
-                if min(step, step * step * sum(map(abs, terms))) > max(tol * r, 2 * ulp(r)):
+                done = max(_ABERTH_TOL * r, 2 * ulp(r))
+                if min(step, step * step * sum(map(abs, terms))) > done:
                     left.append(i)
         except (ZeroDivisionError, OverflowError):
             return sweeps, f"exact root refinement broke down in sweep {sweeps}"
@@ -368,15 +364,11 @@ def _horner_float(cs: list[complex], z: complex) -> complex:
     return pv
 
 
-def roots(
-    p: Union[Poly, Sequence],
-    tol: float = _ABERTH_TOL,
-    max_iter: int = _ABERTH_MAX_ITER,
-) -> RootSet:
-    """All complex roots of ``p`` by Aberth-Ehrlich iteration.
+def roots(p: Union[Poly, Sequence]) -> RootSet:
+    """All complex roots of the real polynomial ``p`` by Aberth-Ehrlich iteration.
 
-    Accepts a Poly or any ascending coefficient sequence (float or complex
-    entries, taken at their exact binary values).  Three stages:
+    Accepts a Poly or any ascending sequence of real coefficients (floats
+    taken at their exact binary values), carried as integers.  Three stages:
 
     1. start points on the circles of p's Newton polygon (``_start``);
     2. float Aberth rounds, each root frozen once |p(z)| falls within the
@@ -386,12 +378,12 @@ def roots(
     3. for each root whose error estimate (that bound over |p'(z)|) is above
        a few ulps, Aberth sweeps with p/p' evaluated exactly on the integer
        coefficients, until its correction, or the next one that Newton's
-       quadratic convergence predicts, is below ``tol`` times its modulus or
-       two ulps.  On a real polynomial, a root whose inclusion disk proves it
-       real stays real, and a proved conjugate pair stays one.
+       quadratic convergence predicts, is below ``_ABERTH_TOL`` (1e-13) times
+       its modulus or two ulps.  A root whose inclusion disk proves it real
+       stays real, and a proved conjugate pair stays one.
 
     ``iterations`` counts the float rounds plus the exact sweeps;
-    ``max_iter`` bounds each stage.  Raises ConvergenceError if a stage does
+    ``_ABERTH_MAX_ITER`` (200) bounds each stage.  Raises ConvergenceError if a stage does
     not finish, or as soon as an approximation stops being a finite number;
     the partial result is attached as ``partial``.
     """
@@ -401,21 +393,20 @@ def roots(
     cs = _monic_coeffs(exact)
     # Exact zero roots come off first: the Newton polygon needs c_0 != 0.
     zeros = 0
-    while exact[zeros] == (0, 0):
+    while not exact[zeros]:
         zeros += 1
     exact = exact[zeros:]
     if len(exact) == 1:
         return RootSet((0j,) * zeros, 0.0, 0)
     zs = _start(exact)
-    rounds, reason, residuals, errors = _float_stage(exact, cs[zeros:], zs, max_iter)
+    rounds, reason, residuals, errors = _float_stage(exact, cs[zeros:], zs)
     sweeps = 0
     if reason is None:
-        real = not any(ci for _, ci in exact)
-        reals, mates = _mirror(zs, residuals) if real else (set(), {})
+        reals, mates = _mirror(zs, residuals)
         # A root known to a few ulps is left as the float stage found it.
         lower = set(mates.values())
         todo = [i for i, e in enumerate(errors) if e > 4 * ulp(abs(zs[i])) and i not in lower]
-        sweeps, reason = _exact_stage(exact, real, zs, todo, reals, mates, tol, max_iter)
+        sweeps, reason = _exact_stage(exact, zs, todo, reals, mates)
     zs = sorted(zs + [0j] * zeros, key=lambda z: (z.real, z.imag))
     residual = max(hypot(v.real, v.imag) for v in (_horner_float(cs, z) for z in zs))
     found = RootSet(tuple(zs), residual, rounds + sweeps)
@@ -445,9 +436,7 @@ def discriminant_P(a, b, c):
     return 4 * (a + b + 1) * (a + 1) * (c + 1) * bracket
 
 
-def integral_rep_check(
-    spec: FamilySpec, n: int, z: float, npoints: int | None = None
-) -> tuple[float, float]:
+def integral_rep_check(spec: FamilySpec, n: int, z: float) -> tuple[float, float]:
     """Evaluate one member two ways: directly, and through its integral form.
 
     A one-slot member is a beta average of the zero-slot member y0_n of its
@@ -457,10 +446,10 @@ def integral_rep_check(
         scriptP(a, b, c) at z (|z| < 1):  the same with the slot c for r.
 
     The average multiplies x^k by (r-1) int_0^1 (1-t)^(r-2) t^k dt = k!/(r)_k,
-    which is exactly the added (1; r) slot.  It is computed with a Gauss
-    rule for the normalized weight (r-1)(1-t)^(r-2), exact for the
-    polynomial integrand, so the two returned floats should agree to
-    rounding error.  Needs r > 1 (resp. c > 1) for integrability.
+    which is exactly the added (1; r) slot.  It is computed with the
+    n // 2 + 1 point Gauss rule for the normalized weight (r-1)(1-t)^(r-2),
+    the one exact for the degree-n integrand, so the two returned floats
+    should agree to rounding error.  Needs r > 1 (resp. c > 1) for integrability.
 
     Both sides are exact until one rounding each: the member is evaluated at
     the binary value of z, and the average is ``sobolev._exact_rule_sum`` of
@@ -477,9 +466,7 @@ def integral_rep_check(
     if spec.kind == SCRIPT_P and abs(z) >= 1:
         raise ValueError("the Jacobi-side representation needs |z| < 1")
     zero_slot = make_member((bold_l if spec.kind == SCRIPT_L else bold_p)(*weights), n)
-    if npoints is None:
-        npoints = n // 2 + 1
-    rule = gauss_rule(jacobi_weight(Fraction(1), slot - 1), npoints)
+    rule = gauss_rule(jacobi_weight(Fraction(1), slot - 1), n // 2 + 1)
     # Only the rule is float: both polynomials are evaluated exactly at the
     # binary values of z and of the nodes, so the residual between the two
     # returns reflects the rule's accuracy, not evaluation rounding.

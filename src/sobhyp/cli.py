@@ -210,7 +210,7 @@ def _residual_cells(res) -> list:
 
 def _integral_rep_cells(args, spec: FamilySpec, n: int) -> list:
     try:
-        lhs, rhs = integral_rep_check(spec, n, args.z, args.points)
+        lhs, rhs = integral_rep_check(spec, n, args.z)
     except OverflowError:
         raise ValueError(f"the member's value at z = {args.z} exceeds the float range") from None
     err = abs(lhs - rhs)
@@ -451,7 +451,6 @@ def _indexed_flags(p):
 def _integral_rep_flags(p):
     _indexed_flags(p)
     p.add_argument("--z", type=_finite_float, required=True, help="evaluation point")
-    p.add_argument("--points", type=int, default=None, help="quadrature points override")
     p.add_argument("--tol", type=_nonnegative_float, default=1e-10)
 
 

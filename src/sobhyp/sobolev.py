@@ -436,22 +436,19 @@ def _lowered(form: SobolevForm, y: Poly) -> Poly:
     return form.dop(y)
 
 
-def sobolev_inner_quadrature(
-    form: SobolevForm, yn: Poly, ym: Poly, npoints: int | None = None
-) -> float:
+def sobolev_inner_quadrature(form: SobolevForm, yn: Poly, ym: Poly) -> float:
     """<yn, ym> recomputed through a Gauss rule, as ``float`` of the exact
     rule sum over the lowered members (``_exact_rule_sum``).
 
-    Lowered members take small values near the nodes while their
-    coefficients are large, so float evaluation would drown the comparison
-    in cancellation noise; exact evaluation leaves the residual against
-    ``sobolev_inner_exact`` to measure only the rule's accuracy, which with
-    the default (exactness-matching) point count is near machine precision.
+    The rule has (deg u + deg v) // 2 + 1 points for the lowered members u
+    and v, the fewest that are exact for their product.  Lowered members
+    take small values near the nodes while their coefficients are large, so
+    float evaluation would drown the comparison in cancellation noise; exact
+    evaluation leaves the residual against ``sobolev_inner_exact`` to
+    measure only the rule's accuracy, which is near machine precision.
     """
     u = _lowered(form, yn)
     v = _lowered(form, ym)
     if u.is_zero or v.is_zero:
         return 0.0
-    if npoints is None:
-        npoints = (u.degree + v.degree) // 2 + 1
-    return _exact_rule_sum(gauss_rule(form.weight, npoints), u, v)
+    return _exact_rule_sum(gauss_rule(form.weight, (u.degree + v.degree) // 2 + 1), u, v)

@@ -174,7 +174,7 @@ def test_09_quadratic_roots_follow_the_discriminants():
     # vanishing discriminant on the float path: double root
     qq = 1.0 + math.sqrt(2.0)
     assert abs(discriminant_L(qq, qq)) < 1e-12
-    pair = roots(member_coeffs_float(SCRIPT_L, [qq, qq], 2), tol=1e-10)
+    pair = roots(member_coeffs_float(SCRIPT_L, [qq, qq], 2))
     assert abs(pair.roots[0] - pair.roots[1]) < 2e-6
 
     # Jacobi side: negative discriminant, non-real pair

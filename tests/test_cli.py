@@ -1,7 +1,6 @@
 """End-to-end CLI tests: exit codes, JSON schema, determinism, file output."""
 
 import argparse
-import functools
 import hashlib
 import json
 import math
@@ -13,6 +12,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, strategies as st
 
+import sobhyp.analysis
 import sobhyp.cli
 import sobhyp.sobolev
 from sobhyp.diffop import DiffOp
@@ -243,7 +243,7 @@ def test_verify_residual_names_first_failure(capsys, monkeypatch, subject, name)
 
 def test_verify_integral_rep_names_first_failure(capsys, monkeypatch):
     values = {0: (2.0, 2.0), 1: (1.0, 1.5), 2: (1.0, 3.0)}
-    monkeypatch.setattr("sobhyp.cli.integral_rep_check", lambda spec, n, z, points: values[n])
+    monkeypatch.setattr("sobhyp.cli.integral_rep_check", lambda spec, n, z: values[n])
     code, out, err = run_cli(
         capsys, "verify", "integral-rep", "--family", "scriptL", "--q", "1", "--r", "2",
         "--nmax", "2", "--z", "1",
@@ -500,7 +500,7 @@ def test_table_roots_scriptl_n18_passes(capsys):
 
 def test_table_roots_nonconvergence_exits_1(capsys, monkeypatch):
     # Only a ConvergenceError (here: a one-round budget) makes table roots exit 1.
-    monkeypatch.setattr(sobhyp.cli, "roots", functools.partial(sobhyp.cli.roots, max_iter=1))
+    monkeypatch.setattr(sobhyp.analysis, "_ABERTH_MAX_ITER", 1)
     code, out, err = run_cli(
         capsys, "table", "roots", "--family", "scriptL", "--q", "1", "--r", "1", "--n", "18"
     )
@@ -1051,7 +1051,9 @@ def test_json_writer_joins_every_chunk_of_a_large_table():
 # --points) were re-pinned when argparse came to require it, which drops the
 # brackets around that flag in the usage line and changes nothing else.  The
 # ("verify",) screen was re-pinned when ode3's help line stopped saying
-# "third-order", since the bold families' equations have order d + 2.
+# "third-order", since the bold families' equations have order d + 2.  The
+# ("verify", "integral-rep") screens were re-pinned when --points left that
+# command, whose Gauss rule is always the one exact for the member's degree.
 # Python 3.13's argparse wraps usage lines differently: it keeps "--nmax NMAX"
 # on one line, and the "..." after the ("verify",) subcommand list on that
 # list's line.  So three screens have their own 3.13 digests; on 3.10-3.12
@@ -1066,7 +1068,7 @@ HELP_SCREENS = {
     ("verify", "ode3"): "57a91925b43d4bf52aedd89424d071c4e444a225014d48992eb8eaef10ed5ccd",
     ("verify", "pencil"): "e97db94674033e9bd5d545b06b07ed3ed50098816ec78a77a35d3a17265212bb",
     ("verify", "recurrence"): "55fb916cee1bfc6e3cf1a0e01988fad06f9d2e912b424749c13e11060668d68d",
-    ("verify", "integral-rep"): "725c1424160148ba6a546907ca0a36021f06f859650955b16cdd0330ffbd717f",
+    ("verify", "integral-rep"): "3ca6e035f072bacdc21a4a4d482526e186569e609522320b7b7830cfb256a6f6",
     ("verify", "limit"): "6047b1d251268f040717ec80dcaf609fda46159dae6271b9a17dbef80ed501be",
     ("verify", "psi"): "e0dc56562218dd055d150b6ade131dab6223ea34d5259adfbfbac2b53b14565c",
     ("table", "roots"): "0be9c29389b68f3e3ce4d4eec47fd66dc1f840a46a59dd79ffd19a5685a6e609",
@@ -1078,7 +1080,7 @@ if sys.version_info >= (3, 13):
     HELP_SCREENS.update({
         ("verify",): "8e8d06209c7818790f8690a8b36574a2904798c2c4a47eb8c026d14cc1fff69e",
         ("verify", "orthogonality"): "2420b8d1421ed26efd54f68ee2f89cb30d1a6655bc15733e2b8b66d517b55bfa",
-        ("verify", "integral-rep"): "7bcfb186751f6d26f92071f709bb39072ab8f55f56c5a35bc1ba67caf02c76af",
+        ("verify", "integral-rep"): "4d151d4280a7ae280a6c3f2020dac483958513115c686a8bd37f5512539c8fac",
     })
 
 
@@ -1138,7 +1140,10 @@ LEAF_ARGS = {
 
 
 def _usage_errors():
-    """Per leaf: a missing required flag, an unknown flag, a bad choice, a bad type."""
+    """Per leaf: a missing required flag, an unknown flag, a bad choice, a bad type.
+
+    Then --points on verify integral-rep, whose rule size is fixed by the degree.
+    """
     for path, (tail, typed, choice) in LEAF_ARGS.items():
         yield [*path, *tail[:-2]]
         yield [*path, *tail, "--bogus"]
@@ -1146,6 +1151,7 @@ def _usage_errors():
             i = tail.index(choice) + 1
             yield [*path, *tail[:i], "nope", *tail[i + 1:]]
         yield [*path, *tail, typed, "x"]
+    yield ["verify", "integral-rep", *LEAF_ARGS[("verify", "integral-rep")][0], "--points", "3"]
 
 
 def test_leaf_args_cover_every_leaf():

@@ -8,7 +8,8 @@ series, bands or operators.  The arithmetic is ``sympy.Poly`` over QQ, not
 expressions, to keep the file fast.  The float Gauss rules are checked
 against ``mpmath.gauss_quadrature`` at 40 digits, and every member kind and
 ``limit_check`` against ``mpmath.hyper`` and mpmath's classical polynomials
-at exact rational points.
+at exact rational points.  The real roots that ``roots`` reports are checked
+against sympy's exact count.
 """
 
 from fractions import Fraction as F
@@ -21,7 +22,7 @@ from sympy import Rational, factorial, rf
 import sobhyp.diffop
 from sobhyp.diffop import ode3_residual, pencil_residual
 from sobhyp.exactnum import Poly
-from sobhyp.analysis import limit_check
+from sobhyp.analysis import limit_check, roots
 from sobhyp.families import (
     bold_l,
     bold_p,
@@ -250,3 +251,16 @@ def test_limit_errors_match_mpmath(q, r, n, x):
             approx = mpmath.hyper([-n, n - 1 + q_ + b, 1], [q_, r_], x_ / b)
             want.append(float(abs(approx - target)))
     assert limit_check(q, r, n, x, bs) == want
+
+
+# The `table roots` points of the benchmark.  A row is reported real when its
+# imaginary part is exactly 0.  Where the float inclusion disks overlap, a real
+# root keeps a tiny imaginary part, so the rows may fall short of sympy's exact
+# (Sturm) count, but none may be reported real beyond it.
+@pytest.mark.parametrize("spec", [script_l(1, 1), script_l(3, 3), script_p(1, 2, 3)], ids=str)
+def test_real_roots_never_exceed_the_exact_count(spec):
+    for n in range(2, 25):
+        member = make_member(spec, n)
+        count = sympy.Poly(member.nums[::-1], x).count_roots()
+        rows = sum(z.imag == 0 for z in roots(member).roots)
+        assert rows <= count, (n, rows, count)

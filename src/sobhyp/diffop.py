@@ -158,15 +158,17 @@ def jacobi_operator(a, b) -> tuple[DiffOp, Callable[[int], Fraction]]:
     return op, lambda n: -n * (n + a + b - 1)
 
 
-def _two_band_residual(bands, spec: FamilySpec, n: int) -> Poly:
+def _two_band_residual(bands, spec: FamilySpec, n: int, y: Poly | None = None) -> Poly:
     """sum_k [(e_n - e_k) g(k) y_k + h(k) y_(k+1)] x^k / den for the degree-n
-    member y: one fused int pass over the tables (den, e, g, h) that
-    ``bands(spec, size)`` caches per power-of-two size.  They are asked for
-    before the member, so a bad spec is reported before a bad n, and cover
-    both e_n and every coefficient of y.
+    member y, ``make_member(spec, n)`` unless the caller holds it: one fused
+    int pass over the tables (den, e, g, h) that ``bands(spec, size)`` caches
+    per power-of-two size.  They are asked for before the member, so a bad
+    spec is reported before a bad n, and cover both e_n and every
+    coefficient of y.
     """
     den, e, g, h = bands(spec, 1 << max(n, 0).bit_length())
-    y = make_member(spec, n)
+    if y is None:
+        y = make_member(spec, n)
     nums = y.nums
     if len(nums) > len(e):
         den, e, g, h = bands(spec, 1 << (len(nums) - 1).bit_length())

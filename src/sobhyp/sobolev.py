@@ -14,7 +14,16 @@ classical densities
 The moments are terms of one hypergeometric series, (q)_k (1)_k / k! or
 (a)_k (1)_k / ((a+b)_k k!), so they come from the members' own integer
 series loop (``families._series_terms``) as integers over one denominator.
-The exact route is a Gram matrix over their Hankel matrix (Gautschi,
+
+``verify_orthogonality`` proves the off-diagonal zeros rather than summing
+them (``_proved_diagonal``): each lowered member D y_n is an eigenfunction
+of the classical operator, which is symmetric under the moments, at
+distinct eigenvalues, so every pair n != m is 0; the hypotheses are checked
+exactly on the members at hand, and the diagonal is one dot product per n.
+If a hypothesis fails, the call falls back to the Gram route below, which
+also serves ``sobolev_inner_exact``.
+
+The Gram route is a Gram matrix over the moments' Hankel matrix (Gautschi,
 *Orthogonal Polynomials: Computation and Approximation*, 2004, section 2.1):
 with U = D u and V = D v,  <u, v> = sum_{j,k} U_j V_k mu_{j+k}.  Each
 lowered member is held the same way (FLINT's ``fmpq_poly`` layout), so a
@@ -47,7 +56,13 @@ from itertools import repeat
 from math import factorial, prod
 from operator import add, mul
 
-from .diffop import DiffOp, _weight_and_orders, composed_lowering
+from .diffop import (
+    DiffOp,
+    _pencil_bands,
+    _two_band_residual,
+    _weight_and_orders,
+    composed_lowering,
+)
 from .exactnum import Poly, _convolve, _Record, _scaled, as_rational
 from .families import FamilySpec, _pairs, _series_terms, make_member
 
@@ -220,7 +235,10 @@ def a_n_normalized(spec: FamilySpec, n: int) -> Fraction:
 class OrthogonalityReport(_Record):
     """Every pair checked by ``verify_orthogonality`` as (n, m, got, want).
 
-    Entries run n = 0..nmax and, within each n, m = 0..n.
+    Entries run n = 0..nmax and, within each n, m = 0..n.  An off-diagonal
+    ``got`` is proved 0 by the operator pencil, not summed, whenever the
+    members meet the proof's hypotheses; otherwise every ``got`` comes from
+    the Gram rows, the fallback, so a wrong member shows its computed values.
     """
 
     spec: FamilySpec
@@ -240,18 +258,75 @@ class OrthogonalityReport(_Record):
         return not self.failures
 
 
+def _proved_diagonal(spec: FamilySpec, form: SobolevForm, ys) -> list[Fraction] | None:
+    """<y_n, y_n> for n = 0..N once every <y_n, y_m>, n != m, is proved 0;
+    None if a hypothesis of the proof fails on these members.
+
+    With U_n = D y_n and the classical operator A (``laguerre_operator`` /
+    ``jacobi_operator``), <y_n, y_m> = mu(U_n U_m) for the weight's moment
+    functional mu.  The hypotheses, each checked exactly:
+
+    * y_n has degree n, so U_n has degree n (D x^k = lam(k) x^k, lam > 0);
+    * the pencil residual A U_n - lambda_n U_n is zero: the pass of
+      ``pencil_residual``, over its cached tables, on the member held here;
+    * the lambda_n are pairwise distinct;
+    * mu_0 = 1 and mu_m = mu_(m-1) (q + m - 1), or mu_(m-1) (a + m - 1) /
+      (a + b + m - 1), for m = 1..2N.
+
+    By the last, A is symmetric under mu on degrees up to N:
+    mu(x^j A x^k) = -jk mu_(j+k-1) on the Laguerre side and
+    -b jk mu_(j+k-1) / (a + b + j + k - 1) on the Jacobi side.  So
+    (lambda_n - lambda_m) mu(U_n U_m) = mu(A U_n U_m) - mu(U_n A U_m) = 0,
+    and every off-diagonal entry is 0 (Bochner, Math. Z. 29, 1929; Szego,
+    *Orthogonal Polynomials*, sections 4.2 and 5.1).  U_0..U_(n-1) then span
+    the degrees below n, all orthogonal to U_n, so
+    mu(U_n U_n) = U_n[n] sum_j U_n[j] mu_(j+n): one integer dot product.
+    """
+    N = len(ys) - 1
+    if any(y.degree != n for n, y in enumerate(ys)):
+        return None
+    if not all(_two_band_residual(_pencil_bands, spec, n, y).is_zero for n, y in enumerate(ys)):
+        return None
+    e = _pencil_bands(spec, 1 << N.bit_length())[1]  # lambda_n = -e_n / den
+    if len(set(e[: N + 1])) <= N:
+        return None
+    moments = _moments(form.weight, 2 * N)
+    mu, mu_den = moments.nums, moments.den
+    if form.weight.kind == LAGUERRE_WEIGHT:
+        P, Q = _scaled(*form.weight.params)
+        up, down = range(P, P + 2 * N * Q, Q), repeat(Q)
+    else:
+        A, B, L = _scaled(*form.weight.params)
+        up, down = range(A, A + 2 * N * L, L), range(A + B, A + B + 2 * N * L, L)
+    if mu[0] != mu_den or any(d * m1 != u * m0 for u, d, m0, m1 in zip(up, down, mu, mu[1:])):
+        return None
+    out = []
+    for n, u in enumerate(map(form.dop, ys)):
+        dot = u.nums[n] * sum(map(mul, u.nums, mu[n:]))
+        out.append(Fraction(dot, u.den * u.den * mu_den) if dot else _ZERO)
+    return out
+
+
 def verify_orthogonality(spec: FamilySpec, nmax: int) -> OrthogonalityReport:
     """Exact check of <y_n, y_m> = delta_{nm} A_n for all 0 <= m <= n <= nmax.
 
-    Each member is built and lowered once, and the lower triangle of the
-    Gram matrix comes from ``_gram_rows``: no polynomial product per pair.
+    Each member is built and lowered once.  The off-diagonal zeros are
+    proved, not summed, by the operator pencil (``_proved_diagonal``), and
+    the diagonal is one dot product per member.  If a hypothesis of that
+    proof fails, the lower triangle of the Gram matrix comes from
+    ``_gram_rows`` instead, so a wrong member shows its computed values.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     form = sobolev_form_for(spec)
     members = [make_member(spec, n) for n in range(nmax + 1)]
+    proved = _proved_diagonal(spec, form, members)
+    if proved is None:
+        rows = _gram_rows(form, members)
+    else:
+        rows = ([_ZERO] * n + [d] for n, d in enumerate(proved))
     entries = []
-    for n, row in enumerate(_gram_rows(form, members)):
+    for n, row in enumerate(rows):
         diagonal = a_n_normalized(spec, n)
         entries += [(n, m, got, diagonal if n == m else _ZERO) for m, got in enumerate(row)]
     return OrthogonalityReport(spec, nmax, tuple(entries))

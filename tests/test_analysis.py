@@ -151,6 +151,24 @@ def test_roots_nonconvergence_in_the_exact_stage_attaches_partial(monkeypatch):
     assert roots(p).iterations > 20
 
 
+def test_exact_stage_breaks_down_at_a_critical_point():
+    # p = x^2 + 1 has p'(0) = 0 and p(0) = 1, so p / p' at the iterate 0 divides by zero.
+    zs = [0j, 2j]
+    assert analysis._exact_stage([1, 0, 1], zs, [0], set(), {}) == (
+        1, "exact root refinement broke down in sweep 1")
+    assert zs == [0j, 2j]
+
+
+def test_roots_breakdown_in_the_exact_stage_attaches_partial(monkeypatch):
+    def critical(cs, z):  # p / p' at an iterate where p' = 0
+        raise ZeroDivisionError
+
+    monkeypatch.setattr(analysis, "_exact_newton", critical)
+    with pytest.raises(ConvergenceError, match="^exact root refinement broke down in sweep 1$") as info:
+        roots(make_member(script_l(1, 1), 18))
+    assert len(info.value.partial.roots) == 18
+
+
 @pytest.mark.parametrize("p", [
     Poly([3, 0, F(1, 7), 0, F(-5, 2)]),  # negative lead over internal zeros
     Poly([0, F(2, 3), F(-1, 9)]),

@@ -18,6 +18,7 @@ import sobhyp.sobolev
 from sobhyp.diffop import DiffOp
 from sobhyp.exactnum import Poly
 from sobhyp.cli import _build_parser, main
+from sobhyp.sobolev import WeightSpec
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +185,21 @@ def test_verify_orthogonality_perturbed_coefficient_fails_in_text(capsys, monkey
         [4, 0, "18/7", "0", False], [4, 1, "-72/7", "0", False], [4, 2, "48/7", "0", False],
         [4, 3, "0", "0", True], [4, 4, "1187/35", "512/35", False],
     ]
+
+
+def test_verify_orthogonality_wrong_moments_fail_by_the_gram_rows(capsys, monkeypatch):
+    # Moments of the weight with every parameter plus one: mu_0 = 1 but the
+    # wrong moment ratio, so the off-diagonal zeros are summed, not proved.
+    original = sobhyp.sobolev._moments
+    monkeypatch.setattr(sobhyp.sobolev, "_moments", lambda weight, K: original(
+        WeightSpec(weight.kind, tuple(p + 1 for p in weight.params)), K))
+    code, doc, err = run_json(
+        capsys, "verify", "orthogonality", "--family", "boldP",
+        "--a", "1", "--b", "2", "--cs", "2,3", "--nmax", "5",
+    )
+    assert code == 1
+    assert doc["results"]["failures"] == 14
+    assert err == "first failure: <y_1, y_0> = -4/5, want 0\n"
 
 
 def test_verify_orthogonality_bold_p(capsys):
@@ -507,6 +523,29 @@ def test_table_roots_nonconvergence_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "error: root iteration did not converge in 1 rounds\n"
+
+
+def test_table_roots_exact_stage_breakdown_exits_1(capsys, monkeypatch):
+    # p / p' divides by zero where an iterate meets a critical point of p.
+    def critical(cs, z):
+        raise ZeroDivisionError
+
+    monkeypatch.setattr(sobhyp.analysis, "_exact_newton", critical)
+    code, out, err = run_cli(
+        capsys, "table", "roots", "--family", "scriptL", "--q", "1", "--r", "1", "--n", "18"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: exact root refinement broke down in sweep 1\n"
+
+
+def test_table_quad_rule_sweep_limit_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(sobhyp.sobolev, "_QL_MAX_SWEEPS", 1)
+    argv = ["table", "quad-rule", "--weight", "laguerre", "--q", "13/11", "--points", "5"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: tridiagonal eigenvalue 0 did not converge in 1 sweeps\n"
 
 
 def test_table_roots_float_range_overflow_exits_2(capsys):

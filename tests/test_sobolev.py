@@ -20,7 +20,14 @@ from sobhyp.families import (
     script_l,
     script_p,
 )
-from sobhyp.diffop import DiffOp, composed_lowering, make_D_xi, pencil_residual
+from sobhyp.diffop import (
+    DiffOp,
+    composed_lowering,
+    jacobi_operator,
+    laguerre_operator,
+    make_D_xi,
+    pencil_residual,
+)
 from sobhyp.sobolev import (
     ConvergenceError,
     OrthogonalityReport,
@@ -28,6 +35,8 @@ from sobhyp.sobolev import (
     SobolevForm,
     WeightSpec,
     _exact_rule_sum,
+    _gram_rows,
+    _proved_diagonal,
     _ql_implicit,
     a_n_normalized,
     gauss_rule,
@@ -257,6 +266,96 @@ def test_wrong_member_fails_exactly_its_pairs(monkeypatch):
     assert [(n, m) for n, m, _, _ in report.failures] == [
         (3, 0), (3, 1), (3, 2), (3, 3), (4, 3), (5, 3)
     ]
+
+
+def _gram_entries(spec, members):
+    """(n, m, <y_n, y_m>) for m <= n, straight from ``_gram_rows``."""
+    rows = _gram_rows(sobolev_form_for(spec), members)
+    return [(n, m, got) for n, row in enumerate(rows) for m, got in enumerate(row)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_hypergeometric_specs(), st.integers(min_value=0, max_value=6))
+def test_proved_entries_equal_the_gram_rows(spec, nmax):
+    members = [make_member(spec, n) for n in range(nmax + 1)]
+    assert _proved_diagonal(spec, sobolev_form_for(spec), members) is not None
+    entries = verify_orthogonality(spec, nmax).entries
+    assert [(n, m, got) for n, m, got, _ in entries] == _gram_entries(spec, members)
+
+
+@pytest.mark.parametrize("weight", [
+    laguerre_weight(F(7, 3)),
+    laguerre_weight(F(1, 2)),
+    jacobi_weight(F(1, 3), F(5, 7)),
+    jacobi_weight(F(1, 3), F(2, 3)),  # a + b = 1
+])
+def test_classical_operator_is_symmetric_under_the_moments(weight):
+    """mu(x^j A x^k) = -jk mu_(j+k-1), or -b jk mu_(j+k-1) / (a+b+j+k-1),
+    summed over A x^k from the operator that the pencil tables read."""
+    K = 60
+    mu = [_closed_form_moment(weight, k) for k in range(2 * K + 1)]
+    laguerre = weight.kind == "laguerre"
+    A = (laguerre_operator if laguerre else jacobi_operator)(*weight.params)[0]
+    for k in range(K + 1):
+        Ak = A(Poly.monomial(k))
+        for j in range(K + 1):
+            got = sum((c * mu[j + i] for i, c in enumerate(Ak.coeffs)), F(0))
+            want = -j * k * mu[j + k - 1] if j * k else F(0)
+            if j * k and not laguerre:
+                a, b = weight.params
+                want *= b / (a + b + j + k - 1)
+            assert got == want, (j, k)
+
+
+def _add_x5_to_y3(spec, n, y):
+    return y + Poly.monomial(5) if n == 3 else y
+
+
+def _zero_y2(spec, n, y):
+    return Poly() if n == 2 else y
+
+
+def _add_x2_to_y4(spec, n, y):
+    return y + Poly.monomial(2, F(1, 7)) if n == 4 else y
+
+
+def _shifted_moments(original):
+    """The moments of the weight with every parameter plus one: mu_0 = 1, wrong ratio."""
+    return lambda weight, K: original(WeightSpec(weight.kind, tuple(p + 1 for p in weight.params)), K)
+
+
+def _doubled_moments(original):
+    """The weight's moments times 2: the right ratio, mu_0 = 2."""
+    return lambda weight, K: 2 * original(weight, K)
+
+
+def _scalar_operator_bands(original):
+    """Pencil tables of the operator 0: every polynomial is an eigenfunction,
+    each at the one eigenvalue 0."""
+    return lambda spec, size: (1, (0,) * size, (1,) * size, (0,) * size)
+
+
+@pytest.mark.parametrize("spec", [script_l(F(1, 2), 3), bold_p(1, 2, [2, 3])], ids=str)
+@pytest.mark.parametrize("member, name, patch", [
+    (_add_x5_to_y3, None, None),  # degree 5, not 3
+    (_zero_y2, None, None),  # degree None, not 2; its pencil residual is 0
+    (_add_x2_to_y4, None, None),  # degree 4, pencil residual not 0
+    (_add_x2_to_y4, "_pencil_bands", _scalar_operator_bands),  # residual 0, eigenvalues equal
+    (None, "_moments", _shifted_moments),
+    (None, "_moments", _doubled_moments),
+], ids=["degree", "zero-member", "pencil", "repeated-eigenvalue", "moment-ratio", "mu0"])
+def test_a_failed_hypothesis_takes_the_gram_route(monkeypatch, spec, member, name, patch):
+    original = sobhyp.sobolev.make_member
+    if member:
+        monkeypatch.setattr(sobhyp.sobolev, "make_member",
+                            lambda spec, n: member(spec, n, original(spec, n)))
+    if patch:
+        monkeypatch.setattr(sobhyp.sobolev, name, patch(getattr(sobhyp.sobolev, name)))
+    members = [sobhyp.sobolev.make_member(spec, n) for n in range(7)]
+    assert _proved_diagonal(spec, sobolev_form_for(spec), members) is None
+    report = verify_orthogonality(spec, 6)
+    assert [(n, m, got) for n, m, got, _ in report.entries] == _gram_entries(spec, members)
+    assert not report.ok
 
 
 _polys = st.lists(
@@ -489,6 +588,12 @@ def test_ql_underflow_branch_keeps_both_blocks_spectra():
     nodes, firsts = _ql_implicit([1e300, 0.0, 5e-324, 5e-324, 3.0], [1.0, -1.0, 5e-324, 2.0])
     assert nodes == pytest.approx([-1.0, -1.0, 1.0, 4.0, 1e300], rel=1e-12)
     assert math.fsum(z * z for z in firsts) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_ql_sweep_limit_names_the_eigenvalue(monkeypatch):
+    monkeypatch.setattr(sobhyp.sobolev, "_QL_MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError, match="^tridiagonal eigenvalue 0 did not converge in 1 sweeps$"):
+        _ql_implicit([2.0, 1.0, 3.0], [1.0, 1.0])
 
 
 def test_gauss_rule_rejects_empty():

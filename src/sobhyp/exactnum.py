@@ -9,6 +9,14 @@ fields are.  Arithmetic runs on Python ints and reduces each result once by
 its content, instead of paying a gcd for every coefficient operation as
 ``fractions.Fraction`` coefficients would; ``Poly.coeffs`` still presents
 the coefficients as Fractions, built on first use.
+Two numerator lists a and b multiply as FLINT's ``fmpz_poly`` can multiply
+them, by Kronecker substitution (``_convolve``): each list is packed into
+one int of B-bit fields, B a multiple of 8 with min(la, lb) max|a| max|b|
+and every entry below 2^(B-1); the two ints are multiplied once, and the
+product's fields are read back.  Each field holds its value plus the offset
+2^(B-1), so it is nonnegative and no borrow crosses it; the fields are then
+written and read as bytes, in time linear in the bytes, and the offsets
+come off as one constant.  A short operand takes a schoolbook branch instead.
 The zero polynomial reports degree ``None`` rather than a numeric sentinel:
 code that tries to do arithmetic with the degree of zero fails loudly
 instead of silently producing an off-by-one.
@@ -22,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm, perm
-from operator import attrgetter, mul
+from operator import attrgetter
 from typing import Iterable, Union
 
 __all__ = ["Poly", "Rational", "as_rational", "pochhammer"]
@@ -143,15 +151,54 @@ def _horner(nums, p: int, q: int) -> tuple[int, int]:
     return acc, scale
 
 
+# A shorter operand of at most this many entries takes the schoolbook branch
+# of ``_convolve``: on the Gauss-rule cross-checks' lowered members and on
+# composition with a linear Poly it beats packing fields as wide as the
+# product's largest coefficient.
+_SCHOOLBOOK_MAX = 6
+
+
 def _convolve(a, b) -> list[int]:
-    """out[k] = sum_i a[i] b[k - i], one C-level dot product per k over b reversed."""
-    if not a or not b:
+    """out[k] = sum_i a[i] b[k - i], the product of two integer coefficient lists.
+
+    A shorter operand of at most ``_SCHOOLBOOK_MAX`` entries scales the
+    longer one once per entry.  Otherwise the product is one big-int product
+    by Kronecker substitution: each operand becomes the int sum_i v[i] X^i
+    with X = 2^B, and the product's B-bit fields are the out[k].  Every
+    |out[k]| is at most min(la, lb) max|a| max|b|, so B, a multiple of 8, is
+    the least that puts that bound and every entry below 2^(B-1).  Each
+    field then holds its value plus the offset 2^(B-1) in [0, 2^B): no
+    borrow crosses a field, so an operand is packed by writing each offset
+    entry's B/8 bytes, joining them and reading one int, less all the
+    offsets as one constant, and the product is unpacked the same way in
+    reverse.  Packing and unpacking are linear in the bytes, where shifting
+    entries into a growing int one at a time would be quadratic.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
         return []
-    lb, rb = len(b), b[::-1]
-    return [
-        sum(map(mul, a[max(0, k - lb + 1): k + 1], rb[max(0, lb - 1 - k):]))
-        for k in range(len(a) + lb - 1)
-    ]
+    lb = len(b)
+    if lb <= _SCHOOLBOOK_MAX:
+        out = [x * b[0] for x in a] + [0] * (lb - 1)
+        for j in range(1, lb):
+            y = b[j]
+            for i, x in enumerate(a, j):
+                out[i] += x * y
+        return out
+    ma, mb = max(map(abs, a)), max(map(abs, b))
+    w = max(lb * ma * mb, ma, mb).bit_length() // 8 + 1  # bytes per field
+    half = 1 << (8 * w - 1)
+    offset = half.to_bytes(w, "little")
+    from_bytes = int.from_bytes
+
+    def pack(v):
+        fields = b"".join([(x + half).to_bytes(w, "little") for x in v])
+        return from_bytes(fields, "little") - from_bytes(offset * len(v), "little")
+
+    lc = len(a) + lb - 1
+    fields = (pack(a) * pack(b) + from_bytes(offset * lc, "little")).to_bytes(lc * w, "little")
+    return [from_bytes(fields[i: i + w], "little") - half for i in range(0, lc * w, w)]
 
 
 def _poly(nums: list[int], den: int) -> "Poly":

@@ -6,9 +6,18 @@ import pickle
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from sobhyp.exactnum import Poly, _poly, _Record, _set, as_rational, pochhammer
+from sobhyp.exactnum import (
+    _SCHOOLBOOK_MAX,
+    Poly,
+    _convolve,
+    _poly,
+    _Record,
+    _set,
+    as_rational,
+    pochhammer,
+)
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
 polys = st.lists(rationals, max_size=8).map(Poly)
@@ -296,6 +305,75 @@ def test_coeffs_are_a_cached_tuple_of_fractions(p):
     assert all(type(c) is F for c in cs)
     assert cs == tuple(F(n, p.den) for n in p.nums)
     assert p.coeffs is cs
+
+
+# --- the convolution kernel --------------------------------------------------
+
+
+def schoolbook(a, b):
+    """out[i + j] += a[i] b[j]: the reference for ``_convolve``."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# Signed ints of 0 to 2,000 bits, the bit length drawn first so that small and
+# huge entries are both common.
+kernel_ints = st.integers(0, 2000).flatmap(lambda bits: st.integers(-(2**bits), 2**bits))
+kernel_lists = st.lists(kernel_ints, max_size=64)
+
+
+@st.composite
+def one_huge_among_small(draw):
+    small = draw(st.lists(st.integers(-3, 3), max_size=63))
+    huge = draw(st.sampled_from([1, -1])) << draw(st.integers(1000, 2000))
+    small.insert(draw(st.integers(0, len(small))), huge)
+    return small
+
+
+def assert_convolves(a, b):
+    got = _convolve(a, b)
+    assert got == schoolbook(a, b) == _convolve(b, a)
+    assert all(type(n) is int for n in got)
+
+
+@example([0], [1000])
+@example([0] * (_SCHOOLBOOK_MAX + 1), [-(2**2000)] * 64)
+# Product coefficients of +-126 fill one-byte fields; +-128 need two bytes.
+@example([3] * 7, [6] * 7)
+@example([-3] * 7, [6] * 7)
+@example([4] * 8, [4] * 8)
+@example([4] * 8, [-4] * 8)
+@given(kernel_lists, kernel_lists)
+def test_convolve_matches_schoolbook(a, b):
+    assert_convolves(a, b)
+
+
+@given(st.integers(0, 64), kernel_lists)
+def test_convolve_with_an_all_zero_operand(length, b):
+    assert_convolves([0] * length, b)
+    assert_convolves([0] * length, [0] * len(b))
+
+
+@given(kernel_ints, kernel_lists)
+def test_convolve_with_a_length_one_operand(x, b):
+    assert_convolves([x], b)
+
+
+@given(one_huge_among_small(), kernel_lists | one_huge_among_small())
+def test_convolve_with_one_huge_coefficient_among_small_ones(a, b):
+    assert_convolves(a, b)
+
+
+@pytest.mark.parametrize("shorter", [_SCHOOLBOOK_MAX, _SCHOOLBOOK_MAX + 1])
+@given(data=st.data())
+def test_convolve_on_each_side_of_the_schoolbook_bound(shorter, data):
+    # The shorter operand's length picks the branch; both give the same list.
+    a = data.draw(st.lists(kernel_ints, min_size=shorter, max_size=shorter))
+    b = data.draw(st.lists(kernel_ints, min_size=shorter, max_size=64))
+    assert_convolves(a, b)
 
 
 # --- immutable records -------------------------------------------------------

@@ -8,6 +8,7 @@ rounds it with ``float``; both roundings are correct, so the floats must be
 identical, sign of zero included (compared by ``repr`` as well as ``==``).
 """
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -81,6 +82,22 @@ def test_inner_quadrature_matches_fraction_reference(seed):
         for n, yn in enumerate(members):
             for ym in members[: n + 1]:
                 _same(sobolev_inner_quadrature(form, yn, ym), _reference_quadrature(form, yn, ym))
+
+
+def test_inner_quadrature_at_benchmark_sizes_is_pinned():
+    # The seed-0 float-crosscheck grid: scriptL(1/2, 3) and boldP(1, 2, [2, 3])
+    # at 0 <= m <= n <= 24, 650 values, far past the reference's degrees above.
+    # sha256 over repr(value) + "\n" in that order.
+    h, count = hashlib.sha256(), 0
+    for spec in (script_l(F(1, 2), 3), bold_p(1, 2, [2, 3])):
+        form = sobolev_form_for(spec)
+        members = [make_member(spec, n) for n in range(25)]
+        for n, yn in enumerate(members):
+            for ym in members[: n + 1]:
+                h.update(f"{sobolev_inner_quadrature(form, yn, ym)!r}\n".encode())
+                count += 1
+    assert count == 650
+    assert h.hexdigest() == "5819f9ed25252ee6ea9bbd0e054f7301366ad57f7eff881dfd7a51f8ad5279cd"
 
 
 @pytest.mark.parametrize("npoints", [1, 3, 9, 20])
